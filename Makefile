@@ -15,8 +15,8 @@ test:
 
 # Full suite under the race detector, then the mixed-shard stress once
 # more at a forced GOMAXPROCS: the shard-invariance goldens run the same
-# scenarios at shards 1, 2 and 8, so lane workers, the barrier merge and
-# arena recycling execute under a second thread schedule with the
+# scenarios at shards 0, 1, 2 and 8, so lane workers, the epoch barrier
+# and arena recycling execute under a second thread schedule with the
 # checker watching cross-lane memory orderings.
 race:
 	$(GO) test -race ./...
@@ -56,20 +56,31 @@ bench-json:
 chaos:
 	$(GO) test -race ./internal/obs ./internal/svc ./internal/simnet ./internal/client
 	$(GO) test -race -run 'Chaos|FaultFlash' -v ./internal/core ./internal/exp
-	$(GO) test -run 'DeterminismGolden' ./internal/exp
+	$(GO) test -run 'DeterminismGolden|ShardGolden' ./internal/exp
 
-# Observability exports: run the faulty flash crowd with -metrics and
-# sanity-check the artifacts — every export non-empty, the time series
-# in chronological order, the trace valid JSONL.
-metrics:
-	rm -rf out/metrics
-	$(GO) run ./cmd/drmsim -fig faults -metrics out/metrics > /dev/null
-	@for f in faults_phases.csv faults_endpoints.csv faults_calls.csv faults_series.csv faults_trace.jsonl; do \
-		test -s out/metrics/$$f || { echo "empty export: $$f"; exit 1; }; \
+# Scenario smoke targets: each runs one drmsim figure with -metrics
+# into out/<target> and sanity-checks the artifacts — every export
+# non-empty, the time series and phase table in chronological order.
+# The scenarios' own acceptance bars (flat p95, zero failed logins,
+# zero false grants/denials, typed refusals) are pinned by their tests;
+# these targets prove each figure path and its exports work.
+#   metrics    the faulty flash crowd (crash, loss, partition)
+#   scaleout   the crowd grows 10× while members join via resharding
+#   timeshift  seeks into retained history across a mid-event lapse
+#   adversary  re-key storm, free-riders, replayed/stolen/forged tickets
+fig_metrics = faults
+fig_scaleout = scaleout
+fig_timeshift = timeshift
+fig_adversary = adversary
+metrics scaleout timeshift adversary:
+	rm -rf out/$@
+	$(GO) run ./cmd/drmsim -fig $(fig_$@) -metrics out/$@ > /dev/null
+	@for f in phases.csv endpoints.csv calls.csv series.csv trace.jsonl; do \
+		test -s out/$@/$(fig_$@)_$$f || { echo "empty export: $(fig_$@)_$$f"; exit 1; }; \
 	done
-	@tail -n +2 out/metrics/faults_series.csv | sort -c -t, -k1,1 || { echo "faults_series.csv not time-sorted"; exit 1; }
-	@tail -n +2 out/metrics/faults_phases.csv | sort -c -s -t, -k2,2 || { echo "faults_phases.csv not time-sorted"; exit 1; }
-	@echo "metrics exports OK: $$(ls out/metrics | wc -l) files in out/metrics"
+	@tail -n +2 out/$@/$(fig_$@)_series.csv | sort -c -t, -k1,1 || { echo "$(fig_$@)_series.csv not time-sorted"; exit 1; }
+	@tail -n +2 out/$@/$(fig_$@)_phases.csv | sort -c -s -t, -k2,2 || { echo "$(fig_$@)_phases.csv not time-sorted"; exit 1; }
+	@echo "$@ exports OK: $$(ls out/$@ | wc -l) files in out/$@"
 
 # Causal-trace exports: the faulty flash crowd with -trace, producing
 # the Perfetto-loadable trace_event JSON, the per-viewer waterfalls, and
@@ -88,56 +99,12 @@ trace:
 	@tail -n +2 out/trace/faults_critical_path.csv | grep -q login1 || { echo "no login1 stages in critical path"; exit 1; }
 	@echo "trace exports OK: $$(ls out/trace | wc -l) files in out/trace"
 
-# Elastic scale-out smoke: the flash crowd grows 10× while User Manager
-# members are added live via consistent-hash resharding, exported with
-# -metrics and sanity-checked like the faults run. The scenario's own
-# acceptance (flat p95, zero failed logins) is pinned by the ScaleOut
-# tests; this target proves the drmsim figure path and its exports work.
-scaleout:
-	rm -rf out/scaleout
-	$(GO) run ./cmd/drmsim -fig scaleout -metrics out/scaleout > /dev/null
-	@for f in scaleout_phases.csv scaleout_endpoints.csv scaleout_calls.csv scaleout_series.csv scaleout_trace.jsonl; do \
-		test -s out/scaleout/$$f || { echo "empty export: $$f"; exit 1; }; \
-	done
-	@tail -n +2 out/scaleout/scaleout_series.csv | sort -c -t, -k1,1 || { echo "scaleout_series.csv not time-sorted"; exit 1; }
-	@tail -n +2 out/scaleout/scaleout_phases.csv | sort -c -s -t, -k2,2 || { echo "scaleout_phases.csv not time-sorted"; exit 1; }
-	@echo "scaleout exports OK: $$(ls out/scaleout | wc -l) files in out/scaleout"
-
-# Time-shifted viewing scenario end-to-end through drmsim: live viewing,
-# uniform and Zipf seeks into the root's retained history, a mid-event
-# rights lapse, and the conformance oracle's verdict — exports validated
-# like the other scenario targets. The zero-false-grant/denial acceptance
-# is pinned by the TimeShift tests; this proves the figure path works.
-timeshift:
-	rm -rf out/timeshift
-	$(GO) run ./cmd/drmsim -fig timeshift -metrics out/timeshift > /dev/null
-	@for f in timeshift_phases.csv timeshift_endpoints.csv timeshift_calls.csv timeshift_series.csv timeshift_trace.jsonl; do \
-		test -s out/timeshift/$$f || { echo "empty export: $$f"; exit 1; }; \
-	done
-	@tail -n +2 out/timeshift/timeshift_series.csv | sort -c -t, -k1,1 || { echo "timeshift_series.csv not time-sorted"; exit 1; }
-	@tail -n +2 out/timeshift/timeshift_phases.csv | sort -c -s -t, -k2,2 || { echo "timeshift_phases.csv not time-sorted"; exit 1; }
-	@echo "timeshift exports OK: $$(ls out/timeshift | wc -l) files in out/timeshift"
-
-# Adversarial DRM scenario end-to-end through drmsim: key-leak re-key
-# storm, free-riding joiners, and a replayed/stolen/forged ticket flood,
-# with every refusal typed and the conformance verdict clean.
-adversary:
-	rm -rf out/adversary
-	$(GO) run ./cmd/drmsim -fig adversary -metrics out/adversary > /dev/null
-	@for f in adversary_phases.csv adversary_endpoints.csv adversary_calls.csv adversary_series.csv adversary_trace.jsonl; do \
-		test -s out/adversary/$$f || { echo "empty export: $$f"; exit 1; }; \
-	done
-	@tail -n +2 out/adversary/adversary_series.csv | sort -c -t, -k1,1 || { echo "adversary_series.csv not time-sorted"; exit 1; }
-	@tail -n +2 out/adversary/adversary_phases.csv | sort -c -s -t, -k2,2 || { echo "adversary_phases.csv not time-sorted"; exit 1; }
-	@echo "adversary exports OK: $$(ls out/adversary | wc -l) files in out/adversary"
-
 # Million-viewer engine capacity study: the full sweep, with the largest
 # point streaming its metric series (CSV + JSONL) into out/megascale so
-# the run's heap stays bounded regardless of duration. Override SHARDS
-# to run on the sharded engine — drmsim then re-runs the largest point
-# serially and prints the speedup (e.g. `make megascale SHARDS=8`); the
-# exported series are byte-identical for every positive shard count.
-SHARDS ?= 0
+# the run's heap stays bounded regardless of duration. SHARDS sets the
+# worker lane count (e.g. `make megascale SHARDS=8`); the exported
+# series are byte-identical for every shard count.
+SHARDS ?= 1
 megascale:
 	rm -rf out/megascale
 	$(GO) run ./cmd/drmsim -fig megascale -shards $(SHARDS) -metrics out/megascale

@@ -350,11 +350,11 @@ func BenchmarkEngineScaleOut(b *testing.B) {
 // overlay tree plus 1M virtual viewers, each holding a renewal timer and
 // an eviction sentinel on the timer wheel, with metrics streamed (not
 // retained) so the heap stays bounded. Override the population with
-// MEGA_VIEWERS for smoke runs; set MEGA_SHARDS > 0 to run the same
-// scenario on the sharded engine (the same knob cmd/benchjson records,
-// so sharded wall clocks are labeled in the JSON artifact). One
-// iteration is a complete scenario; run with -benchtime 1x (or small
-// -benchtime) accordingly.
+// MEGA_VIEWERS for smoke runs; MEGA_SHARDS sets how many worker lanes
+// the population stripes over (default 1; cmd/benchjson records the
+// effective count, so every wall clock is labeled with its engine).
+// One iteration is a complete scenario; run with -benchtime 1x (or
+// small -benchtime) accordingly.
 func BenchmarkEngineMegaScale(b *testing.B) {
 	viewers := 1_000_000
 	if s := os.Getenv("MEGA_VIEWERS"); s != "" {
@@ -364,7 +364,7 @@ func BenchmarkEngineMegaScale(b *testing.B) {
 		}
 		viewers = n
 	}
-	shards := 0
+	shards := 1
 	if s := os.Getenv("MEGA_SHARDS"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {

@@ -47,27 +47,26 @@ type Result struct {
 }
 
 // Report is the emitted file. GoMaxProcs pins how many OS threads the
-// engine benchmarks could actually use, and MegaShards/MegaViewers echo
-// the MEGA_* environment knobs BenchmarkEngineMegaScale honors — wall
-// clocks from different machines or shard counts are not comparable
-// without them.
+// engine benchmarks could actually use, MegaShards is the effective
+// lane count BenchmarkEngineMegaScale ran on (MEGA_SHARDS, default 1),
+// and MegaViewers echoes MEGA_VIEWERS — wall clocks from different
+// machines or lane counts are not comparable without them.
 type Report struct {
-	Date        string   `json:"date"`
-	GoOS        string   `json:"goos,omitempty"`
-	GoArch      string   `json:"goarch,omitempty"`
-	Pkg         string   `json:"pkg,omitempty"`
-	CPU         string   `json:"cpu,omitempty"`
-	GoMaxProcs  int      `json:"gomaxprocs"`
-	MegaShards  int      `json:"mega_shards,omitempty"`
-	MegaViewers int      `json:"mega_viewers,omitempty"`
-	MegaSpeedup float64  `json:"mega_speedup,omitempty"`
+	Date        string `json:"date"`
+	GoOS        string `json:"goos,omitempty"`
+	GoArch      string `json:"goarch,omitempty"`
+	Pkg         string `json:"pkg,omitempty"`
+	CPU         string `json:"cpu,omitempty"`
+	GoMaxProcs  int    `json:"gomaxprocs"`
+	MegaShards  int    `json:"mega_shards"`
+	MegaViewers int    `json:"mega_viewers,omitempty"`
 	// TraceOverhead is the traced-over-untraced week wall-clock ratio
 	// (BenchmarkEngineWeekTraced / BenchmarkEngineWeekAcceleration).
 	// The tracing layer's budget is ≤ 1.05.
-	TraceOverhead float64 `json:"trace_overhead,omitempty"`
-	Bench       string   `json:"bench"`
-	BenchTime   string   `json:"benchtime"`
-	Results     []Result `json:"results"`
+	TraceOverhead float64  `json:"trace_overhead,omitempty"`
+	Bench         string   `json:"bench"`
+	BenchTime     string   `json:"benchtime"`
+	Results       []Result `json:"results"`
 }
 
 func main() {
@@ -102,6 +101,7 @@ func run(args []string) error {
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Bench:      *bench,
 		BenchTime:  *benchtime,
+		MegaShards: 1,
 	}
 	if n, err := strconv.Atoi(os.Getenv("MEGA_SHARDS")); err == nil && n > 0 {
 		rep.MegaShards = n
@@ -114,9 +114,6 @@ func run(args []string) error {
 	}
 	if len(rep.Results) == 0 {
 		return fmt.Errorf("no benchmark results parsed (regexp %q)", *bench)
-	}
-	if err := addSerialBaseline(&rep, *benchtime, *pkg); err != nil {
-		return err
 	}
 	addTraceOverhead(&rep)
 
@@ -133,53 +130,6 @@ func run(args []string) error {
 		return err
 	}
 	fmt.Printf("wrote %s (%d results)\n", path, len(rep.Results))
-	return nil
-}
-
-// addSerialBaseline re-runs the megascale benchmark on the serial
-// engine when the main pass ran it sharded (MEGA_SHARDS > 0 is
-// inherited by go test). The artifact then carries both sides of the
-// comparison — the serial wall clock as BenchmarkEngineMegaScaleSerial
-// and the ratio as mega_speedup — instead of a single incomparable
-// number.
-func addSerialBaseline(rep *Report, benchtime, pkg string) error {
-	if rep.MegaShards <= 0 {
-		return nil
-	}
-	var sharded *Result
-	for i := range rep.Results {
-		if rep.Results[i].Name == "BenchmarkEngineMegaScale" {
-			sharded = &rep.Results[i]
-		}
-	}
-	if sharded == nil {
-		return nil
-	}
-	cmd := exec.Command("go", "test", "-run", "^$",
-		"-bench", "^BenchmarkEngineMegaScale$", "-benchmem", "-benchtime", benchtime, pkg)
-	for _, kv := range os.Environ() {
-		if !strings.HasPrefix(kv, "MEGA_SHARDS=") {
-			cmd.Env = append(cmd.Env, kv)
-		}
-	}
-	var buf bytes.Buffer
-	cmd.Stdout = &buf
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		return fmt.Errorf("serial megascale baseline: %w", err)
-	}
-	os.Stdout.Write(buf.Bytes())
-	var base Report
-	if err := parseInto(&base, buf.String()); err != nil {
-		return err
-	}
-	for _, r := range base.Results {
-		if r.Name == "BenchmarkEngineMegaScale" && r.NsPerOp > 0 && sharded.NsPerOp > 0 {
-			rep.MegaSpeedup = r.NsPerOp / sharded.NsPerOp
-			r.Name = "BenchmarkEngineMegaScaleSerial"
-			rep.Results = append(rep.Results, r)
-		}
-	}
 	return nil
 }
 

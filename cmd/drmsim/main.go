@@ -14,8 +14,8 @@
 //	drmsim -fig faults      flash crowd with injected faults (crash, loss, partition)
 //	drmsim -fig scaleout    elastic farm: crowd grows 10×, members added live via resharding
 //	drmsim -fig megascale   engine capacity: virtual-viewer sweep up to -mega viewers
-//	drmsim -fig megascale -shards 8   same sweep on the sharded multi-core engine,
-//	                        byte-identical results, plus a speedup-vs-serial line
+//	drmsim -fig megascale -shards 8   same sweep over 8 worker lanes,
+//	                        byte-identical results
 //	drmsim -fig timeshift   time-shifted viewing: key availability vs seek depth,
 //	                        rights-conformance verdict over a mid-event lapse
 //	drmsim -fig adversary   adversarial DRM: re-key storm, free-riders, ticket replay
@@ -33,7 +33,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -65,7 +64,7 @@ func run(args []string) error {
 		viewers  = fs.String("viewers", "50,200,800", "flash-crowd sizes (baseline)")
 		farms    = fs.String("farms", "1,2,4,8", "farm sizes (farm scaling)")
 		mega     = fs.String("mega", "50000,200000,1000000", "virtual-viewer sweep sizes (megascale)")
-		shards   = fs.Int("shards", 0, "worker lanes for megascale (0 = serial engine; >0 also prints the speedup vs serial)")
+		shards   = fs.Int("shards", 1, "worker lanes the megascale population stripes over (results are identical for any count)")
 		metrics  = fs.String("metrics", "", "directory for CSV/JSONL metric exports (empty = no exports)")
 		traceDir = fs.String("trace", "", "directory for causal-trace exports: <fig>_trace_events.json (Perfetto/chrome://tracing), _waterfall.txt, _critical_path.csv; arms week tracing (empty = no trace exports)")
 		traceEvN = fs.Int("traceevery", 10, "head-sample 1 in N week sessions when -trace is set (faults/scaleout trace every viewer)")
@@ -270,21 +269,6 @@ func run(args []string) error {
 			pts = append(pts, res)
 		}
 		fmt.Println(exp.RenderMega(pts))
-		if *shards > 0 {
-			// Re-run the largest point on the serial engine so the wall-clock
-			// comparison lands in the same terminal as the sweep.
-			n := counts[len(counts)-1]
-			fmt.Fprintf(os.Stderr, "running serial baseline at %d viewers for speedup...\n", n)
-			serial, err := exp.RunMegaScale(exp.MegaConfig{Seed: *seed, Viewers: n})
-			if err != nil {
-				return err
-			}
-			sharded := pts[len(pts)-1]
-			fmt.Printf("speedup at %d viewers: %.2fx (serial %v, shards=%d %v, GOMAXPROCS=%d)\n",
-				n, float64(serial.Wall)/float64(sharded.Wall),
-				serial.Wall.Round(time.Millisecond), *shards,
-				sharded.Wall.Round(time.Millisecond), runtime.GOMAXPROCS(0))
-		}
 	}
 	if show("timeshift") {
 		fmt.Fprintln(os.Stderr, "running time-shifted viewing scenario...")

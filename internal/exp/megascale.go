@@ -11,7 +11,6 @@ import (
 	"p2pdrm/internal/core"
 	"p2pdrm/internal/geo"
 	"p2pdrm/internal/obs"
-	"p2pdrm/internal/sim"
 )
 
 // MegaConfig scales the engine-capacity study: a modest tree of real
@@ -56,17 +55,17 @@ type MegaConfig struct {
 	MetricsJSONL io.Writer
 	// Parallelism bounds concurrent sweep points (0 = GOMAXPROCS).
 	Parallelism int
-	// Shards switches the run onto the sharded engine with that many
-	// worker lanes: the real overlay stays on the control scheduler and
-	// the virtual population stripes over the lanes with entity-local
-	// RNG streams, so the fingerprint is identical for ANY positive
-	// shard count (1, 2, 8, ...). Zero keeps the legacy serial engine —
-	// a different (also pinned) fingerprint, since the serial population
-	// draws from the scheduler's shared stream.
+	// Shards is the number of worker lanes the virtual population
+	// stripes over (default 1). The real overlay stays on the control
+	// scheduler and every viewer draws from its own RNG stream, so the
+	// fingerprint is identical for any shard count.
 	Shards int
 }
 
 func (c *MegaConfig) fill() {
+	if c.Shards <= 0 {
+		c.Shards = 1
+	}
 	if c.Viewers <= 0 {
 		c.Viewers = 1_000_000
 	}
@@ -124,85 +123,19 @@ func (r *MegaResult) Fingerprint() string {
 		r.KeyMsgs, r.Frames, r.Rows, r.PeakPending)
 }
 
-// megaPop is the virtual viewer population. All mutation happens inside
-// scheduler events, which the run token serializes, so plain fields are
-// race-free. Per-viewer state is three flat slices — no per-viewer
-// structs, no closures: renewal events share one top-level func and an
-// index boxed once at construction.
-type megaPop struct {
-	sched      *sim.Scheduler
-	renewEvery time.Duration
-	evictAfter time.Duration
-	churn      float64
-
-	renewals  int64
-	churned   int64
-	evictions int64
-
-	evict []sim.Timer // pending eviction sentinel per viewer
-	args  []any       // preallocated boxed indices (one alloc each, ever)
-}
-
-func newMegaPop(sched *sim.Scheduler, n int, renewEvery, evictAfter time.Duration, churn float64) *megaPop {
-	m := &megaPop{
-		sched:      sched,
-		renewEvery: renewEvery,
-		evictAfter: evictAfter,
-		churn:      churn,
-		evict:      make([]sim.Timer, n),
-		args:       make([]any, n),
-	}
-	for i := 0; i < n; i++ {
-		m.args[i] = i
-	}
-	return m
-}
-
-// start schedules every viewer's first renewal at a uniform phase within
-// one period, so the steady state is flat from the first tick.
-func (m *megaPop) start() {
-	for i := range m.args {
-		phase := time.Duration(m.sched.Float64() * float64(m.renewEvery))
-		m.sched.AfterArg(phase, m.renew, m.args[i])
-	}
-}
-
-// renew is one viewer's license renewal: cancel the previous eviction
-// sentinel, maybe churn, re-arm both timers.
-func (m *megaPop) renew(arg any) {
-	i := arg.(int)
-	m.evict[i].Stop()
-	if m.sched.Float64() < m.churn {
-		// Silent departure: no renewal is scheduled, so the sentinel
-		// fires at the deadline and admits a replacement.
-		m.churned++
-		m.evict[i] = m.sched.AfterArg(m.evictAfter, m.evicted, m.args[i])
-		return
-	}
-	m.renewals++
-	m.evict[i] = m.sched.AfterArg(m.evictAfter, m.evicted, m.args[i])
-	m.sched.AfterArg(m.renewEvery, m.renew, m.args[i])
-}
-
-// evicted fires only for churned viewers (renewals always cancel it
-// first); the slot's replacement joins with a fresh phase.
-func (m *megaPop) evicted(arg any) {
-	i := arg.(int)
-	m.evictions++
-	phase := time.Duration(m.sched.Float64() * float64(m.renewEvery))
-	m.sched.AfterArg(phase, m.renew, m.args[i])
-}
-
-// RunMegaScale runs one population point: build the real overlay, warm
-// it, release the virtual population, and sample metrics on the sim
-// clock until the window closes.
+// RunMegaScale runs one population point: build the real overlay on
+// the engine's control scheduler, warm it, release the virtual
+// population onto cfg.Shards worker lanes, and sample metrics on the
+// sim clock until the window closes. Per-viewer behavior depends only
+// on the viewer's own stream and epoch boundaries depend only on the
+// epoch length and the global event population, so the fingerprint is
+// byte-identical for any shard count.
 func RunMegaScale(cfg MegaConfig) (*MegaResult, error) {
 	cfg.fill()
-	if cfg.Shards > 0 {
-		return runMegaSharded(cfg)
-	}
 	wallStart := time.Now()
+	eng := newEngine(cfg.Seed, cfg.Shards)
 	sys, err := core.NewSystem(core.Options{
+		Scheduler:       eng.Ctrl(),
 		Seed:            cfg.Seed,
 		RekeyInterval:   cfg.RekeyInterval,
 		PacketInterval:  cfg.PacketInterval,
@@ -245,18 +178,20 @@ func RunMegaScale(cfg MegaConfig) (*MegaResult, error) {
 	}
 	start := sys.Sched.Now()
 	warm := time.Duration(cfg.RealViewers)*250*time.Millisecond + 30*time.Second
-	sys.Sched.RunUntil(start.Add(warm))
+	// The lanes are still empty, so the warm-up runs as a single serial
+	// control span.
+	eng.Run(start.Add(warm))
 
-	pop := newMegaPop(sys.Sched, cfg.Viewers, cfg.RenewEvery, cfg.EvictAfter, cfg.ChurnFrac)
-	pop.start()
+	pops := newShardPops(eng, cfg.Viewers, cfg.Seed, cfg.RenewEvery, cfg.EvictAfter, cfg.ChurnFrac)
 
 	res := &MegaResult{Viewers: cfg.Viewers, RealViewers: cfg.RealViewers}
 	sp := obs.NewSampler(cfg.SampleEvery)
 	sp.AddSource(func(add func(string, float64)) {
-		add("mega.renewals", float64(pop.renewals))
-		add("mega.churned", float64(pop.churned))
-		add("mega.evictions", float64(pop.evictions))
-		p := sys.Sched.Pending()
+		renewals, churned, evictions := popTotals(pops)
+		add("mega.renewals", float64(renewals))
+		add("mega.churned", float64(churned))
+		add("mega.evictions", float64(evictions))
+		p := eng.Pending()
 		if p > res.PeakPending {
 			res.PeakPending = p
 		}
@@ -279,12 +214,10 @@ func RunMegaScale(cfg MegaConfig) (*MegaResult, error) {
 	}
 	end := start.Add(warm + cfg.Duration)
 	sp.Run(sys.Sched, end)
-	sys.Sched.RunUntil(end)
+	eng.Run(end)
 	sys.StopAll()
 
-	res.Renewals = pop.renewals
-	res.Churned = pop.churned
-	res.Evictions = pop.evictions
+	res.Renewals, res.Churned, res.Evictions = popTotals(pops)
 	res.KeyMsgs = overlayKeyMsgs(sys, clients)
 	mu.Lock()
 	res.Frames = frames

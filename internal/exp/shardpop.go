@@ -6,6 +6,19 @@ import (
 	"p2pdrm/internal/sim"
 )
 
+// laneEpoch is the engine's epoch length: how often control-phase
+// samplers observe lane counters (and pay the barrier). It is a fixed
+// constant because epoch boundaries are visible to the sampled series:
+// changing it would move the goldens.
+const laneEpoch = 500 * time.Millisecond
+
+// newEngine builds the lane engine every population scenario runs on,
+// starting on the first day of the paper's measurement week (June 23,
+// 2008 — core.Options' default Start).
+func newEngine(seed int64, shards int) *sim.Sharded {
+	return sim.NewSharded(time.Date(2008, 6, 23, 0, 0, 0, 0, time.UTC), seed, shards, laneEpoch)
+}
+
 // splitmix64 advances one viewer's private RNG state and returns the
 // next 64-bit output (Steele, Lea & Flood's SplitMix64). Each virtual
 // viewer owns one state word seeded from the run seed and its GLOBAL
@@ -32,11 +45,14 @@ func sm64Seed(seed int64, global int) uint64 {
 	return uint64(seed)*0x9E3779B97F4A7C15 ^ (uint64(global)+1)*0xBF58476D1CE4E5B9
 }
 
-// shardPop is one lane's slice of the virtual viewer population: the
-// renewal / eviction-sentinel / churn state machine of megaPop, rebuilt
-// on a worker lane with entity-local RNG streams. Viewers are striped
-// over lanes by global index; all state here is lane-owned, counters are
-// read by control-phase samplers (commutative sums at epoch boundaries).
+// shardPop is one lane's slice of the virtual viewer population: each
+// viewer holds a pending renewal and an eviction sentinel, and a
+// renewal may churn the viewer instead. Viewers are striped over lanes
+// by global index and draw from entity-local RNG streams; all state here
+// is lane-owned, and per-viewer state is flat slices (no per-viewer
+// structs or closures: events share top-level funcs and an index boxed
+// once at construction). Counters are read by control-phase samplers
+// (commutative sums at epoch boundaries).
 type shardPop struct {
 	lane       *sim.Shard
 	renewEvery time.Duration
@@ -88,12 +104,13 @@ func newShardPops(eng *sim.Sharded, n int, seed int64, renewEvery, evictAfter ti
 }
 
 // renew is one viewer's license renewal: cancel the previous eviction
-// sentinel, maybe churn, re-arm both timers. Mirrors megaPop.renew with
-// the lane clock and the viewer's private stream.
+// sentinel, maybe churn, re-arm both timers.
 func (p *shardPop) renew(arg any) {
 	i := arg.(int)
 	p.evict[i].Stop()
 	if sm64Float(&p.rng[i]) < p.churn {
+		// Silent departure: no renewal is scheduled, so the sentinel
+		// fires at the deadline and admits a replacement.
 		p.churned++
 		p.evict[i] = p.lane.AfterArg(p.evictAfter, p.evicted, p.args[i])
 		return
@@ -103,8 +120,8 @@ func (p *shardPop) renew(arg any) {
 	p.lane.AfterArg(p.renewEvery, p.renew, p.args[i])
 }
 
-// evicted fires only for churned viewers; the slot's replacement joins
-// with a fresh phase.
+// evicted fires only for churned viewers (renewals always cancel it
+// first); the slot's replacement joins with a fresh phase.
 func (p *shardPop) evicted(arg any) {
 	i := arg.(int)
 	p.evictions++

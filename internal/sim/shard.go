@@ -2,12 +2,11 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
 
-// Sharded is a conservative parallel discrete-event engine: a control
+// Sharded is a lock-step parallel discrete-event engine: a control
 // Scheduler (the full cooperative-goroutine simulator) plus N worker
 // shard lanes, each owning its own event queue (heap + timer wheel).
 // Lanes hold only plain callback events — the high-volume, entity-local
@@ -15,66 +14,55 @@ import (
 // everything that blocks on virtual time or talks RPC stays on the
 // control scheduler.
 //
-// # Epochs and lookahead
+// # Epochs
 //
-// Time advances in lock-step epochs of length L, the engine's lookahead
-// (classic null-message-style conservative synchronization: L must not
-// exceed the minimum latency of any cross-shard interaction, so no
-// event executed inside an epoch can affect another shard within the
-// same epoch). Each epoch [T, T+L) runs two phases:
+// Time advances in lock-step epochs of a fixed length E. Each epoch
+// [T, T+E) runs two phases:
 //
 //  1. Control phase: the control scheduler executes its events in
-//     [T, T+L). Control code deterministically observes every lane's
-//     state exactly as of T — no lane event in [T, T+L) has run yet.
-//  2. Worker phase: all lanes execute their events in [T, T+L)
+//     [T, T+E). Control code deterministically observes every lane's
+//     state exactly as of T — no lane event in [T, T+E) has run yet.
+//  2. Worker phase: all lanes execute their events in [T, T+E)
 //     concurrently, one goroutine per non-idle lane.
 //
-// At the epoch barrier, cross-shard messages buffered during the worker
-// phase are merged in deterministic (key, source shard, source seq)
-// order and filed into their destination queues with fresh sequence
-// numbers, so for a fixed shard count the observable event order is
-// bit-for-bit reproducible regardless of GOMAXPROCS or OS scheduling.
-//
-// Phase boundaries depend only on L and the event population — not on
-// the shard count — so a simulation whose per-entity behavior is
-// independent of lane placement (entity-local RNG streams, commutative
-// cross-lane aggregation) produces byte-identical results for any
-// number of shards. internal/exp's sharded scenarios are built on that
-// discipline and pin it with golden fingerprints.
+// Lanes never exchange events, so E is not a causality bound: it is
+// the cadence at which control-phase samplers see lane counters (and
+// the per-epoch barrier overhead). Epoch boundaries depend only on E
+// and the event population — not on the shard count — so a simulation
+// whose per-entity behavior is independent of lane placement
+// (entity-local RNG streams, commutative counters) produces
+// byte-identical results for any number of shards, regardless of
+// GOMAXPROCS or OS scheduling. internal/exp's scenarios are built on
+// that discipline and pin it with golden fingerprints.
 //
 // # Contract
 //
-// Lane events must touch only state owned by their lane; anything
-// cross-lane goes through SendAfter (delay >= L) or commutative
-// counters read by control at phase boundaries. Scheduling into a lane
-// from outside is allowed only before Run starts (setup); during a run
-// new lane events may originate only from that lane's own callbacks or
-// from the merge barrier. Timer wheels make lane scheduling and
+// Lane events must touch only state owned by their lane; control reads
+// lane state only through commutative counters at phase boundaries.
+// Scheduling into a lane from outside is allowed only before Run starts
+// (setup); during a run new lane events may originate only from that
+// lane's own callbacks. Timer wheels make lane scheduling and
 // cancellation O(1), so million-timer lanes cost what the serial engine
 // pays, minus the shared-heap contention.
 type Sharded struct {
-	ctrl      *Scheduler
-	shards    []*Shard
-	lookahead int64 // epoch length L in ns; cross-shard sends need delay >= L
-	running   bool
-	mergeBuf  []xmsg
+	ctrl    *Scheduler
+	shards  []*Shard
+	epoch   int64 // epoch length E in ns
+	running bool
 }
 
-// NewSharded creates an engine with n worker lanes. The lookahead is
-// the epoch length: it must be positive when n > 0, and callers must
-// ensure no cross-shard interaction is faster than it (for simnet
-// topologies, Network.LatencyFloor is the safe choice; for pure
-// counter/timer populations any control-phase cadence works).
-func NewSharded(start time.Time, seed int64, n int, lookahead time.Duration) *Sharded {
+// NewSharded creates an engine with n worker lanes advancing in epochs
+// of the given length, which must be positive when n > 0.
+func NewSharded(start time.Time, seed int64, n int, epoch time.Duration) *Sharded {
 	if n < 0 {
 		panic("sim: negative shard count")
 	}
-	if n > 0 && lookahead <= 0 {
-		panic("sim: sharded engine needs a positive lookahead")
+	if n > 0 && epoch <= 0 {
+		panic("sim: sharded engine needs a positive epoch length")
 	}
 	e := &Sharded{
-		ctrl:      New(start, seed),
-		lookahead: int64(lookahead),
+		ctrl:  New(start, seed),
+		epoch: int64(epoch),
 	}
 	e.shards = make([]*Shard, n)
 	startKey := start.UnixNano()
@@ -95,9 +83,6 @@ func (e *Sharded) NumShards() int { return len(e.shards) }
 
 // Shard returns lane i.
 func (e *Sharded) Shard(i int) *Shard { return e.shards[i] }
-
-// Lookahead reports the epoch length.
-func (e *Sharded) Lookahead() time.Duration { return time.Duration(e.lookahead) }
 
 // Pending totals live events across the control scheduler and every
 // lane. It must only be called from the control phase or outside Run
@@ -125,7 +110,7 @@ func (e *Sharded) Run(until time.Time) {
 		if !ok || bound > endKey {
 			break
 		}
-		next := bound + e.lookahead
+		next := bound + e.epoch
 		if e.lanesIdle() {
 			// No lane events exist and none can appear (lane events only
 			// originate from lanes): the epoch constraint is vacuous.
@@ -135,7 +120,6 @@ func (e *Sharded) Run(until time.Time) {
 		}
 		e.ctrl.RunUntil(time.Unix(0, next-1).UTC())
 		e.runLanes(next - 1)
-		e.merge()
 	}
 }
 
@@ -206,68 +190,6 @@ func (e *Sharded) runLanes(limit int64) {
 	}
 }
 
-// merge drains every lane's outbox and files the messages into their
-// destinations in (key, source shard, source seq) order, assigning
-// fresh destination sequence numbers in that order. Because the sort
-// key is independent of arrival interleaving, the post-merge queues are
-// identical no matter how the worker phase was scheduled onto cores.
-func (e *Sharded) merge() {
-	all := e.mergeBuf[:0]
-	for _, sh := range e.shards {
-		all = append(all, sh.out...)
-		sh.out = sh.out[:0]
-	}
-	if len(all) == 0 {
-		e.mergeBuf = all
-		return
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := &all[i], &all[j]
-		if a.key != b.key {
-			return a.key < b.key
-		}
-		if a.srcShard != b.srcShard {
-			return a.srcShard < b.srcShard
-		}
-		return a.srcSeq < b.srcSeq
-	})
-	for i := range all {
-		m := &all[i]
-		if m.dst == ToControl {
-			at := time.Unix(0, m.key).UTC()
-			if m.fnA != nil {
-				e.ctrl.AtArg(at, m.fnA, m.arg)
-			} else {
-				e.ctrl.At(at, m.fn)
-			}
-			continue
-		}
-		sh := e.shards[m.dst]
-		ev := sh.q.schedule(m.key)
-		ev.fn, ev.fnA, ev.arg = m.fn, m.fnA, m.arg
-	}
-	buf := all[:cap(all)]
-	for i := range buf {
-		buf[i] = xmsg{} // drop fn/arg references for GC
-	}
-	e.mergeBuf = all[:0]
-}
-
-// ToControl addresses SendAfter messages to the control scheduler.
-const ToControl = -1
-
-// xmsg is a cross-shard event in flight between an epoch's worker phase
-// and its merge barrier.
-type xmsg struct {
-	dst      int
-	key      int64
-	srcShard int
-	srcSeq   uint64
-	fn       func()
-	fnA      func(any)
-	arg      any
-}
-
 // Shard is one worker lane: an event queue advanced in epochs by the
 // engine. All methods are unsynchronized — see the Sharded contract for
 // who may call what when.
@@ -276,17 +198,8 @@ type Shard struct {
 	id        int
 	nowKey    int64
 	q         equeue
-	out       []xmsg
-	outSeq    uint64
 	executing bool
 }
-
-// ID reports the lane index.
-func (sh *Shard) ID() int { return sh.id }
-
-// Now returns the lane clock: the due time of the event being executed,
-// or the last one executed.
-func (sh *Shard) Now() time.Time { return time.Unix(0, sh.nowKey).UTC() }
 
 // Pending reports the lane's live event count. Control-phase/setup only.
 func (sh *Shard) Pending() int { return sh.q.pending() }
@@ -338,30 +251,6 @@ func (sh *Shard) AfterArg(d time.Duration, fn func(any), arg any) ShardTimer {
 		d = 0
 	}
 	return sh.AtArg(time.Unix(0, sh.nowKey+int64(d)).UTC(), fn, arg)
-}
-
-// SendAfter schedules fn(arg) on lane dst (or the control scheduler,
-// dst == ToControl) d after the lane clock. d must be at least the
-// engine lookahead: the message lands in a later epoch, which is what
-// makes running lanes concurrently safe. Same-lane sends short-circuit
-// to a local schedule with no lower bound.
-func (sh *Shard) SendAfter(dst int, d time.Duration, fn func(any), arg any) {
-	if dst == sh.id {
-		sh.AfterArg(d, fn, arg)
-		return
-	}
-	if int64(d) < sh.eng.lookahead {
-		panic(fmt.Sprintf("sim: cross-shard delay %v below lookahead %v", d, sh.eng.Lookahead()))
-	}
-	sh.out = append(sh.out, xmsg{
-		dst:      dst,
-		key:      sh.nowKey + int64(d),
-		srcShard: sh.id,
-		srcSeq:   sh.outSeq,
-		fnA:      fn,
-		arg:      arg,
-	})
-	sh.outSeq++
 }
 
 // runThrough executes lane events with key <= limit in (key, seq) order.

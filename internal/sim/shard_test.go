@@ -3,22 +3,20 @@ package sim
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 )
 
 // shardEntity is a lane-pinned actor for the invariance tests: a
-// periodic self-rescheduling timer that logs its fire times, counts
-// ticks, and occasionally sends a cross-shard message to its successor.
+// periodic self-rescheduling timer that logs its fire times and, every
+// tenth fire, arms a one-shot follow-up on its own lane.
 type shardEntity struct {
 	id     int
 	lane   *Shard
 	period time.Duration
 	fires  int
 	log    []int64 // own fire keys
-	rx     []int64 // arrival keys of cross-shard messages, unordered
-	ticks  int64
+	ticks  int64   // fires plus follow-ups
 }
 
 // shardFixture builds K entities striped over n lanes and runs the
@@ -26,8 +24,7 @@ type shardEntity struct {
 // identity, so every per-entity observation must be independent of n.
 func shardFixture(t *testing.T, n int, entities int, end time.Time) []*shardEntity {
 	t.Helper()
-	const lookahead = 10 * time.Millisecond
-	eng := NewSharded(t0, 7, n, lookahead)
+	eng := NewSharded(t0, 7, n, 10*time.Millisecond)
 	ents := make([]*shardEntity, entities)
 	for i := range ents {
 		ents[i] = &shardEntity{
@@ -36,6 +33,7 @@ func shardFixture(t *testing.T, n int, entities int, end time.Time) []*shardEnti
 			period: time.Duration(1+i%7) * time.Millisecond,
 		}
 	}
+	follow := func(v any) { v.(*shardEntity).ticks++ }
 	var tick func(v any)
 	tick = func(v any) {
 		e := v.(*shardEntity)
@@ -43,15 +41,7 @@ func shardFixture(t *testing.T, n int, entities int, end time.Time) []*shardEnti
 		e.ticks++
 		e.log = append(e.log, e.lane.nowKey)
 		if e.fires%10 == 0 {
-			// Cross-shard hop to the successor entity, delay >= lookahead,
-			// key made entity-unique so arrival order is key-determined.
-			succ := ents[(e.id+1)%len(ents)]
-			d := lookahead + time.Duration(1+e.id)*time.Microsecond
-			e.lane.SendAfter(succ.lane.ID(), d, func(w any) {
-				s := w.(*shardEntity)
-				s.ticks++
-				s.rx = append(s.rx, s.lane.nowKey)
-			}, succ)
+			e.lane.AfterArg(time.Duration(1+e.id)*time.Microsecond, follow, e)
 		}
 		if e.fires < 100 {
 			e.lane.AfterArg(e.period, tick, e)
@@ -65,8 +55,8 @@ func shardFixture(t *testing.T, n int, entities int, end time.Time) []*shardEnti
 }
 
 // TestShardedShardCountInvariance pins the engine's core promise: a
-// lane-local workload with cross-shard messaging produces identical
-// per-entity observations for 1, 2, and 4 shards.
+// lane-local workload produces identical per-entity observations for
+// 1, 2, and 4 shards.
 func TestShardedShardCountInvariance(t *testing.T) {
 	end := t0.Add(2 * time.Second)
 	base := shardFixture(t, 1, 12, end)
@@ -77,15 +67,6 @@ func TestShardedShardCountInvariance(t *testing.T) {
 			if !reflect.DeepEqual(e.log, ref.log) {
 				t.Fatalf("shards=%d entity %d fire log diverged from shards=1", n, i)
 			}
-			sortKeys := func(k []int64) []int64 {
-				out := append([]int64(nil), k...)
-				sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-				return out
-			}
-			if !reflect.DeepEqual(sortKeys(e.rx), sortKeys(ref.rx)) {
-				t.Fatalf("shards=%d entity %d rx keys diverged from shards=1: %v vs %v",
-					n, i, e.rx, ref.rx)
-			}
 			if e.ticks != ref.ticks {
 				t.Fatalf("shards=%d entity %d ticks=%d, shards=1 ticks=%d", n, i, e.ticks, ref.ticks)
 			}
@@ -95,7 +76,7 @@ func TestShardedShardCountInvariance(t *testing.T) {
 
 // TestShardedRunDeterminism pins run-to-run reproducibility at a fixed
 // shard count: goroutine interleaving during the worker phase must not
-// leak into post-merge state. Fails under -race on any unsynchronized
+// leak into lane state. Fails under -race on any unsynchronized
 // cross-lane access as well.
 func TestShardedRunDeterminism(t *testing.T) {
 	end := t0.Add(2 * time.Second)
@@ -104,7 +85,7 @@ func TestShardedRunDeterminism(t *testing.T) {
 		s := ""
 		for _, e := range ents {
 			sum := int64(0)
-			for _, k := range e.rx {
+			for _, k := range e.log {
 				sum += k
 			}
 			s += fmt.Sprintf("%d:%d:%d:%d;", e.id, e.fires, e.ticks, sum)
@@ -235,57 +216,15 @@ func TestShardedTimerStop(t *testing.T) {
 	}()
 	eng2 := NewSharded(t0, 5, 2, 5*time.Millisecond)
 	eng2.Shard(0).AtArg(t0.Add(time.Millisecond), func(any) {
-		// Lane 0 callback scheduling into lane 1 directly (not via
-		// SendAfter) violates the contract.
+		// Lane 0 callback scheduling into lane 1 violates the contract:
+		// lanes never exchange events.
 		eng2.Shard(1).After(time.Millisecond, func() {})
 	}, nil)
 	eng2.Run(t0.Add(time.Second))
 }
 
-// TestShardedCrossShardDelayPanic pins the lookahead floor on
-// cross-shard sends.
-func TestShardedCrossShardDelayPanic(t *testing.T) {
-	eng := NewSharded(t0, 5, 2, 5*time.Millisecond)
-	eng.Shard(0).AtArg(t0.Add(time.Millisecond), func(any) {
-		defer func() {
-			if recover() == nil {
-				t.Error("cross-shard send below lookahead did not panic")
-			}
-		}()
-		eng.Shard(0).SendAfter(1, time.Millisecond, func(any) {}, nil)
-	}, nil)
-	eng.Run(t0.Add(time.Second))
-}
-
-// TestShardedToControl routes lane messages to the control scheduler
-// and checks deterministic arrival.
-func TestShardedToControl(t *testing.T) {
-	const lookahead = 5 * time.Millisecond
-	run := func() []int64 {
-		eng := NewSharded(t0, 9, 4, lookahead)
-		var arrivals []int64
-		for i := 0; i < 4; i++ {
-			i := i
-			eng.Shard(i).AtArg(t0.Add(time.Duration(1+i)*time.Millisecond), func(any) {
-				eng.Shard(i).SendAfter(ToControl, lookahead+time.Duration(i)*time.Microsecond, func(v any) {
-					arrivals = append(arrivals, eng.Ctrl().Now().UnixNano()*10+int64(v.(int)))
-				}, i)
-			}, nil)
-		}
-		eng.Run(t0.Add(time.Second))
-		return arrivals
-	}
-	a := run()
-	if len(a) != 4 {
-		t.Fatalf("control received %d messages; want 4", len(a))
-	}
-	if b := run(); !reflect.DeepEqual(a, b) {
-		t.Fatalf("lane-to-control arrival order not reproducible: %v vs %v", a, b)
-	}
-}
-
 // TestShardedStress is the -race workhorse: many lanes, dense timers,
-// heavy cross-shard chatter, cancellations.
+// cancellations.
 func TestShardedStress(t *testing.T) {
 	const lanes = 8
 	eng := NewSharded(t0, 1234, lanes, 2*time.Millisecond)
@@ -306,15 +245,6 @@ func TestShardedStress(t *testing.T) {
 		if a.state%5 == 0 {
 			tm := a.lane.After(time.Duration(1+a.state%100)*time.Millisecond, func() {})
 			tm.Stop()
-		}
-		if a.state%7 == 0 {
-			dst := int(a.state % lanes)
-			peer := actors[int(a.state%uint64(len(actors)))]
-			if peer.lane.ID() == dst {
-				a.lane.SendAfter(dst, 2*time.Millisecond+time.Duration(a.state%1000)*time.Microsecond, func(w any) {
-					w.(*actor).state ^= 0x9e3779b9
-				}, peer)
-			}
 		}
 		if a.n < 500 {
 			a.lane.AfterArg(time.Duration(100+a.state%900)*time.Microsecond, step, a)

@@ -178,19 +178,6 @@ func (s *Scheduler) At(at time.Time, fn func()) Timer {
 	return t
 }
 
-// AtArg schedules fn(arg) to run at virtual time at (or now, whichever is
-// later) — the closure-free sibling of At, used by the sharded engine's
-// cross-shard merge.
-func (s *Scheduler) AtArg(at time.Time, fn func(any), arg any) Timer {
-	s.mu.Lock()
-	ev := s.scheduleLocked(at)
-	ev.fnA = fn
-	ev.arg = arg
-	t := Timer{s: s, ev: ev, gen: ev.gen}
-	s.mu.Unlock()
-	return t
-}
-
 // After schedules fn to run d from now. Negative d is treated as zero.
 func (s *Scheduler) After(d time.Duration, fn func()) Timer {
 	if d < 0 {

@@ -49,8 +49,8 @@ func NewRing(vnodes int) *Ring {
 	return &Ring{vnodes: vnodes}
 }
 
-// fnv1a hashes a string with 64-bit FNV-1a (matches simnet.ShardOf's
-// choice of stripe hash; stable across runs and platforms).
+// fnv1a hashes a string with 64-bit FNV-1a (stable across runs and
+// platforms).
 func fnv1a(s string) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
