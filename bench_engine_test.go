@@ -202,9 +202,12 @@ func BenchmarkSimnetRPC(b *testing.B) {
 
 // BenchmarkEngineWeekAcceleration runs a miniature diurnal trace and
 // reports the virtual-time acceleration ratio (virtual seconds simulated
-// per real second) — the engine's headline figure of merit.
+// per real second) — the engine's headline figure of merit. Every
+// iteration reruns seed 1, so each starts with an empty ticket signature
+// memo rather than inheriting the previous run's hits.
 func BenchmarkEngineWeekAcceleration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		ticket.ResetVerifyMemo()
 		_, err := exp.RunWeek(exp.WeekConfig{
 			Seed:                1,
 			Days:                1,
@@ -227,6 +230,7 @@ func BenchmarkEngineWeekAcceleration(b *testing.B) {
 // one as trace_overhead; the budget is ≤ 1.05 (5%).
 func BenchmarkEngineWeekTraced(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		ticket.ResetVerifyMemo()
 		_, err := exp.RunWeek(exp.WeekConfig{
 			Seed:                1,
 			Days:                1,
@@ -331,6 +335,7 @@ func BenchmarkEngineScaleOut(b *testing.B) {
 	var worst time.Duration
 	var spread float64
 	for i := 0; i < b.N; i++ {
+		ticket.ResetVerifyMemo()
 		res, err := exp.RunScaleOut(exp.ScaleOutConfig{Seed: 1})
 		if err != nil {
 			b.Fatal(err)
@@ -374,6 +379,7 @@ func BenchmarkEngineMegaScale(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		ticket.ResetVerifyMemo()
 		res, err := exp.RunMegaScale(exp.MegaConfig{
 			Seed:         1,
 			Viewers:      viewers,

@@ -95,12 +95,6 @@ type Manager struct {
 	node   *simnet.Node
 	rt     *svc.Runtime
 	sealer *stoken.Sealer
-	// userVerifier and chanVerifier memoize Ed25519 signature checks for
-	// tickets this manager sees repeatedly: the same User Ticket arrives
-	// on every SWITCH round for its whole lifetime, and an expiring
-	// Channel Ticket is presented twice per renewal (SWITCH1 + SWITCH2).
-	userVerifier *ticket.Verifier
-	chanVerifier *ticket.Verifier
 
 	mu       sync.Mutex
 	channels map[string]*policy.Channel
@@ -121,13 +115,11 @@ func New(node *simnet.Node, cfg Config) (*Manager, error) {
 	}
 	cfg.fill()
 	m := &Manager{
-		cfg:          cfg,
-		node:         node,
-		rt:           svc.NewRuntime(node),
-		sealer:       stoken.New(cfg.TokenSecret),
-		userVerifier: ticket.NewVerifier(0),
-		chanVerifier: ticket.NewVerifier(0),
-		channels:     make(map[string]*policy.Channel),
+		cfg:      cfg,
+		node:     node,
+		rt:       svc.NewRuntime(node),
+		sealer:   stoken.New(cfg.TokenSecret),
+		channels: make(map[string]*policy.Channel),
 	}
 	svc.Register(m.rt, wire.SvcSwitch1, wire.DecodeSwitchReq, m.handleSwitch1)
 	svc.Register(m.rt, wire.SvcSwitch2, wire.DecodeSwitchFinish, m.handleSwitch2)
@@ -206,7 +198,7 @@ func (m *Manager) deny() {
 // verifyUserTicket runs the §IV-C checks shared by both rounds: signature,
 // expiry, and NetAddr match against the current connection.
 func (m *Manager) verifyUserTicket(blob []byte, from simnet.Addr, now time.Time) (*ticket.UserTicket, *wire.ServiceError) {
-	ut, err := m.userVerifier.VerifyUser(blob, m.cfg.UserMgrKey)
+	ut, err := ticket.VerifyUser(blob, m.cfg.UserMgrKey)
 	if err != nil {
 		return nil, wire.Errf(wire.CodeBadTicket, "user ticket: %v", err)
 	}
@@ -232,7 +224,7 @@ func (m *Manager) handleSwitch1(from simnet.Addr, req *wire.SwitchReq) (*wire.Sw
 	renewal := len(req.ExpiringTicket) > 0
 	if renewal {
 		// The expiring ticket stands in for the channel identification.
-		ct, err := m.chanVerifier.VerifyChannel(req.ExpiringTicket, m.cfg.Keys.Public())
+		ct, err := ticket.VerifyChannel(req.ExpiringTicket, m.cfg.Keys.Public())
 		if err != nil {
 			m.deny()
 			return nil, wire.Errf(wire.CodeBadTicket, "expiring ticket: %v", err)
@@ -324,7 +316,7 @@ func (m *Manager) handleSwitch2(from simnet.Addr, req *wire.SwitchFinish) (*wire
 
 	var ct *ticket.ChannelTicket
 	if renewal {
-		old, err := m.chanVerifier.VerifyChannel(req.ExpiringTicket, m.cfg.Keys.Public())
+		old, err := ticket.VerifyChannel(req.ExpiringTicket, m.cfg.Keys.Public())
 		if err != nil {
 			m.deny()
 			return nil, wire.Errf(wire.CodeBadTicket, "expiring ticket: %v", err)

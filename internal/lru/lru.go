@@ -1,7 +1,7 @@
 // Package lru provides a small, mutex-guarded, fixed-capacity LRU cache
-// shared by the hot-path caching layers (verified-ticket cache, parsed-key
-// caches). It is deliberately minimal: Get/Add/Len and nothing else, with
-// strict bounds so a cache can never grow past its capacity no matter the
+// for the hot-path caching layers (the ticket signature memo). It is
+// deliberately minimal: Get/Add/Len/Purge and nothing else, with strict
+// bounds so a cache can never grow past its capacity no matter the
 // workload.
 package lru
 
@@ -65,6 +65,14 @@ func (c *Cache[K, V]) Add(key K, val V) {
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*entry[K, V]).key)
 	}
+}
+
+// Purge removes every entry.
+func (c *Cache[K, V]) Purge() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.ll.Init()
+	clear(c.items)
 }
 
 // Len reports the number of cached entries.

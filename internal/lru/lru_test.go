@@ -72,3 +72,20 @@ func TestNeverExceedsCap(t *testing.T) {
 		}
 	}
 }
+
+func TestPurge(t *testing.T) {
+	c := New[int, int](4)
+	c.Add(1, 1)
+	c.Add(2, 2)
+	c.Purge()
+	if c.Len() != 0 {
+		t.Fatalf("Len after Purge = %d, want 0", c.Len())
+	}
+	if _, ok := c.Get(1); ok {
+		t.Fatal("purged key still present")
+	}
+	c.Add(3, 3)
+	if v, ok := c.Get(3); !ok || v != 3 || c.Len() != 1 {
+		t.Fatalf("after Purge: Get(3) = %d,%v Len = %d", v, ok, c.Len())
+	}
+}

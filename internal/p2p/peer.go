@@ -78,11 +78,6 @@ type Config struct {
 	// ExpiryGrace extends a child's eviction deadline slightly past its
 	// ticket expiry so an in-flight renewal can land. Default 10s.
 	ExpiryGrace time.Duration
-	// TicketCache bounds the verified Channel Ticket cache: joiners and
-	// renewers present the same signed blob repeatedly, and a cache hit
-	// skips the Ed25519 check (validity windows are still enforced per
-	// use). Default 256 entries.
-	TicketCache int
 	// Arena backs the peer's hot child/dedup state with shared flat
 	// slabs. Peers sharing an arena must run on one scheduler lane (a
 	// System, or one shard of a sharded run). Nil gives the peer a small
@@ -129,9 +124,6 @@ func (c *Config) fill() {
 	}
 	if c.ExpiryGrace <= 0 {
 		c.ExpiryGrace = 10 * time.Second
-	}
-	if c.TicketCache <= 0 {
-		c.TicketCache = 256
 	}
 }
 
@@ -187,10 +179,9 @@ type parent struct {
 // Peer is one overlay endpoint: the Channel Server root, a relay, or a
 // viewing client (all three share the same mechanics).
 type Peer struct {
-	cfg      Config
-	node     *simnet.Node
-	rt       *svc.Runtime
-	verifier *ticket.Verifier
+	cfg  Config
+	node *simnet.Node
+	rt   *svc.Runtime
 
 	mu       sync.Mutex
 	ring     *keys.Ring
@@ -268,7 +259,6 @@ func NewPeer(node *simnet.Node, cfg Config) (*Peer, error) {
 		cfg:        cfg,
 		node:       node,
 		rt:         svc.NewRuntime(node),
-		verifier:   ticket.NewVerifier(cfg.TicketCache),
 		ring:       keys.NewRing(cfg.KeyWindow),
 		arena:      arena,
 		children:   make(map[simnet.Addr]childHandle),
@@ -305,12 +295,6 @@ func (p *Peer) Stats() Stats {
 
 // Ring exposes the content-key ring (the client's playback path uses it).
 func (p *Peer) Ring() *keys.Ring { return p.ring }
-
-// TicketCacheStats reports hits and misses of the verified Channel
-// Ticket cache (observability for tests and tuning).
-func (p *Peer) TicketCacheStats() (hits, misses int64) {
-	return p.verifier.Hits(), p.verifier.Misses()
-}
 
 // Children reports current downstream count.
 func (p *Peer) Children() int {
@@ -430,7 +414,7 @@ func (p *Peer) handleJoin(from simnet.Addr, req *wire.JoinReq) (*wire.JoinResp, 
 // the verified ticket, or a typed refusal (code != CodeUnknown).
 func (p *Peer) admitTicket(from simnet.Addr, blob []byte) (*ticket.ChannelTicket, wire.Code, string) {
 	now := p.node.Scheduler().Now()
-	ct, err := p.verifier.VerifyChannel(blob, p.cfg.ChanMgrKey)
+	ct, err := ticket.VerifyChannel(blob, p.cfg.ChanMgrKey)
 	if err != nil {
 		return nil, wire.CodeBadTicket, "channel ticket: " + err.Error()
 	}
@@ -544,7 +528,7 @@ func (p *Peer) scheduleEviction(addr simnet.Addr, expiry time.Time) {
 // and extends the peering (§IV-D).
 func (p *Peer) handleRenewal(from simnet.Addr, req *wire.RenewalPresent) {
 	now := p.node.Scheduler().Now()
-	ct, err := p.verifier.VerifyChannel(req.ChannelTicket, p.cfg.ChanMgrKey)
+	ct, err := ticket.VerifyChannel(req.ChannelTicket, p.cfg.ChanMgrKey)
 	if err != nil || ct.ValidAt(now) != nil || ct.NetAddr != string(from) ||
 		ct.ChannelID != p.cfg.ChannelID {
 		return // silently ignore invalid renewals

@@ -53,9 +53,6 @@ type Manager struct {
 	cfg  Config
 	node *simnet.Node
 	rt   *svc.Runtime
-	// verifier memoizes User Ticket signature checks: clients refetching
-	// the Channel List present the same signed ticket for its whole life.
-	verifier *ticket.Verifier
 
 	mu       sync.Mutex
 	channels map[string]*policy.Channel
@@ -77,7 +74,6 @@ func New(node *simnet.Node, cfg Config) (*Manager, error) {
 		cfg:        cfg,
 		node:       node,
 		rt:         svc.NewRuntime(node),
-		verifier:   ticket.NewVerifier(0),
 		channels:   make(map[string]*policy.Channel),
 		tombstones: make(map[policy.AttrKey]time.Time),
 	}
@@ -247,7 +243,7 @@ func (m *Manager) AddUserMgr(um simnet.Addr) {
 // receives the full current Channel List.
 func (m *Manager) handleChanList(from simnet.Addr, req *wire.ChanListReq) (*wire.ChanListResp, error) {
 	now := m.node.Scheduler().Now()
-	ut, err := m.verifier.VerifyUser(req.UserTicket, m.cfg.UserMgrKey)
+	ut, err := ticket.VerifyUser(req.UserTicket, m.cfg.UserMgrKey)
 	if err != nil {
 		return nil, wire.Errf(wire.CodeBadTicket, "%v", err)
 	}
