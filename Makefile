@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race cover bench bench-json chaos metrics trace scaleout megascale timeshift adversary check
+.PHONY: all vet build test race cover bench bench-json chaos scenarios metrics scaleout timeshift adversary megascale check
 
 all: check
 
@@ -58,12 +58,15 @@ chaos:
 	$(GO) test -race -run 'Chaos|FaultFlash' -v ./internal/core ./internal/exp
 	$(GO) test -run 'DeterminismGolden|ShardGolden' ./internal/exp
 
-# Scenario smoke targets: each runs one drmsim figure with -metrics
-# into out/<target> and sanity-checks the artifacts — every export
-# non-empty, the time series and phase table in chronological order.
-# The scenarios' own acceptance bars (flat p95, zero failed logins,
-# zero false grants/denials, typed refusals) are pinned by their tests;
-# these targets prove each figure path and its exports work.
+# Scenario smoke targets: each runs one drmsim figure with -metrics and
+# -trace into out/<target> and sanity-checks the artifacts — every
+# export non-empty, the time series and phase table in chronological
+# order, real trace_event JSON, assembled login and switch journeys in
+# the waterfall, login1 stages on the critical path. The scenarios' own
+# acceptance bars (flat p95, zero failed logins, zero false
+# grants/denials, typed refusals) are pinned by their tests; these
+# targets prove each figure path and its exports work. `make scenarios`
+# runs them all:
 #   metrics    the faulty flash crowd (crash, loss, partition)
 #   scaleout   the crowd grows 10× while members join via resharding
 #   timeshift  seeks into retained history across a mid-event lapse
@@ -72,32 +75,20 @@ fig_metrics = faults
 fig_scaleout = scaleout
 fig_timeshift = timeshift
 fig_adversary = adversary
+scenarios: metrics scaleout timeshift adversary
 metrics scaleout timeshift adversary:
 	rm -rf out/$@
-	$(GO) run ./cmd/drmsim -fig $(fig_$@) -metrics out/$@ > /dev/null
-	@for f in phases.csv endpoints.csv calls.csv series.csv trace.jsonl; do \
+	$(GO) run ./cmd/drmsim -fig $(fig_$@) -metrics out/$@ -trace out/$@ > /dev/null
+	@for f in phases.csv endpoints.csv calls.csv series.csv trace.jsonl trace_events.json waterfall.txt critical_path.csv; do \
 		test -s out/$@/$(fig_$@)_$$f || { echo "empty export: $(fig_$@)_$$f"; exit 1; }; \
 	done
 	@tail -n +2 out/$@/$(fig_$@)_series.csv | sort -c -t, -k1,1 || { echo "$(fig_$@)_series.csv not time-sorted"; exit 1; }
 	@tail -n +2 out/$@/$(fig_$@)_phases.csv | sort -c -s -t, -k2,2 || { echo "$(fig_$@)_phases.csv not time-sorted"; exit 1; }
+	@grep -q '"traceEvents"' out/$@/$(fig_$@)_trace_events.json || { echo "no traceEvents array"; exit 1; }
+	@grep -q 'journey login' out/$@/$(fig_$@)_waterfall.txt || { echo "no login journeys in waterfall"; exit 1; }
+	@grep -q 'journey switch' out/$@/$(fig_$@)_waterfall.txt || { echo "no switch journeys in waterfall"; exit 1; }
+	@tail -n +2 out/$@/$(fig_$@)_critical_path.csv | grep -q login1 || { echo "no login1 stages in critical path"; exit 1; }
 	@echo "$@ exports OK: $$(ls out/$@ | wc -l) files in out/$@"
-
-# Causal-trace exports: the faulty flash crowd with -trace, producing
-# the Perfetto-loadable trace_event JSON, the per-viewer waterfalls, and
-# the critical-path CSV. Artifacts must be non-empty, the JSON must
-# carry real events, and the waterfall must contain assembled journeys
-# (not just flat spans).
-trace:
-	rm -rf out/trace
-	$(GO) run ./cmd/drmsim -fig faults -trace out/trace > /dev/null
-	@for f in faults_trace_events.json faults_waterfall.txt faults_critical_path.csv; do \
-		test -s out/trace/$$f || { echo "empty export: $$f"; exit 1; }; \
-	done
-	@grep -q '"traceEvents"' out/trace/faults_trace_events.json || { echo "no traceEvents array"; exit 1; }
-	@grep -q 'journey login' out/trace/faults_waterfall.txt || { echo "no login journeys in waterfall"; exit 1; }
-	@grep -q 'journey switch' out/trace/faults_waterfall.txt || { echo "no switch journeys in waterfall"; exit 1; }
-	@tail -n +2 out/trace/faults_critical_path.csv | grep -q login1 || { echo "no login1 stages in critical path"; exit 1; }
-	@echo "trace exports OK: $$(ls out/trace | wc -l) files in out/trace"
 
 # Million-viewer engine capacity study: the full sweep, with the largest
 # point streaming its metric series (CSV + JSONL) into out/megascale so
@@ -114,4 +105,4 @@ megascale:
 	@tail -n +2 out/megascale/megascale_series.csv | sort -c -t, -k1,1 || { echo "megascale_series.csv not time-sorted"; exit 1; }
 	@echo "megascale exports OK: $$(ls out/megascale | wc -l) files in out/megascale"
 
-check: vet build race bench metrics trace scaleout timeshift adversary
+check: vet build race bench scenarios

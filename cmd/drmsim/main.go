@@ -33,17 +33,127 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"p2pdrm/internal/exp"
 	"p2pdrm/internal/feedback"
 	"p2pdrm/internal/obs"
+	"p2pdrm/internal/svc"
 )
+
+// figure is one -fig value. run returns the figure's text and, for an
+// observed scenario, its measurement, which -metrics and -trace export
+// under the figure's name.
+type figure struct {
+	name string
+	run  func(r *runner) (string, *exp.Observed, error)
+}
+
+// figures is every figure in `-fig all` order; -fig accepts each name
+// and "all".
+var figures = []figure{
+	{"5a", weekFig(func(w *exp.WeekResult) string {
+		return exp.RenderFig5(w, "Fig 5(a) login protocol", feedback.Login1, feedback.Login2)
+	})},
+	{"5b", weekFig(func(w *exp.WeekResult) string {
+		return exp.RenderFig5(w, "Fig 5(b) channel switching protocol", feedback.Switch1, feedback.Switch2)
+	})},
+	{"5c", weekFig(func(w *exp.WeekResult) string {
+		return exp.RenderFig5(w, "Fig 5(c) join protocol", feedback.Join)
+	})},
+	{"6", weekFig(func(w *exp.WeekResult) string {
+		panels := make([]string, len(feedback.Rounds))
+		for i, rd := range feedback.Rounds {
+			panels[i] = exp.RenderFig6(w, rd, 0, 21)
+		}
+		return strings.Join(panels, "\n")
+	})},
+	{"corr", weekFig(exp.RenderCorrelations)},
+	{"baseline", runBaseline},
+	{"churn", func(r *runner) (string, *exp.Observed, error) {
+		fmt.Fprintln(os.Stderr, "running churn study...")
+		res, err := exp.RunChurn(exp.ChurnConfig{Seed: r.seed})
+		if err != nil {
+			return "", nil, err
+		}
+		return exp.RenderChurn(res), nil, nil
+	}},
+	{"zap", func(r *runner) (string, *exp.Observed, error) {
+		fmt.Fprintln(os.Stderr, "running zap study...")
+		res, err := exp.RunZap(exp.ZapConfig{Seed: r.seed})
+		if err != nil {
+			return "", nil, err
+		}
+		return exp.RenderZap(res), nil, nil
+	}},
+	{"rekey", func(r *runner) (string, *exp.Observed, error) {
+		fmt.Fprintln(os.Stderr, "running re-key ablation...")
+		pts, err := exp.RunRekeyAblation(exp.RekeyConfig{Seed: r.seed})
+		if err != nil {
+			return "", nil, err
+		}
+		return exp.RenderRekey(pts), nil, nil
+	}},
+	{"faults", func(r *runner) (string, *exp.Observed, error) {
+		fmt.Fprintln(os.Stderr, "running faulty flash crowd...")
+		res, err := exp.RunFaultFlash(exp.FaultFlashConfig{Seed: r.seed})
+		if err != nil {
+			return "", nil, err
+		}
+		return exp.RenderFaultFlash(res), &res.Observed, nil
+	}},
+	{"scaleout", func(r *runner) (string, *exp.Observed, error) {
+		fmt.Fprintln(os.Stderr, "running elastic scale-out sweep...")
+		res, err := exp.RunScaleOut(exp.ScaleOutConfig{Seed: r.seed})
+		if err != nil {
+			return "", nil, err
+		}
+		return exp.RenderScaleOut(res), &res.Observed, nil
+	}},
+	{"megascale", runMegascale},
+	{"timeshift", func(r *runner) (string, *exp.Observed, error) {
+		fmt.Fprintln(os.Stderr, "running time-shifted viewing scenario...")
+		res, err := exp.RunTimeShift(exp.TimeShiftConfig{Seed: r.seed})
+		if err != nil {
+			return "", nil, err
+		}
+		return exp.RenderTimeShift(res), &res.Observed, nil
+	}},
+	{"adversary", func(r *runner) (string, *exp.Observed, error) {
+		fmt.Fprintln(os.Stderr, "running adversarial DRM scenario...")
+		res, err := exp.RunAdversary(exp.AdversaryConfig{Seed: r.seed})
+		if err != nil {
+			return "", nil, err
+		}
+		return exp.RenderAdversary(res), &res.Observed, nil
+	}},
+	{"farm", runFarm},
+}
 
 // figs enumerates every valid -fig value; an unknown value is an error,
 // not a silent no-op run.
-var figs = []string{"5a", "5b", "5c", "6", "corr", "baseline", "farm", "churn", "zap", "rekey", "faults", "scaleout", "megascale", "timeshift", "adversary", "all"}
+var figs = figNames()
+
+func figNames() []string {
+	names := make([]string, 0, len(figures)+1)
+	for _, f := range figures {
+		names = append(names, f.name)
+	}
+	return append(names, "all")
+}
+
+// runner carries the parsed flags and the exporters into the figures.
+type runner struct {
+	seed                  int64
+	days, channels, users int
+	peak                  float64
+	viewers, farms, mega  string
+	shards, traceEvery    int
+	metrics, trace        *exporter
+	week                  *exp.WeekResult // the shared week trace, run on first use
+}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -53,264 +163,183 @@ func main() {
 }
 
 func run(args []string) error {
+	var r runner
 	fs := flag.NewFlagSet("drmsim", flag.ContinueOnError)
-	var (
-		fig      = fs.String("fig", "all", "figure to regenerate: "+strings.Join(figs, "|"))
-		seed     = fs.Int64("seed", 1, "simulation seed")
-		days     = fs.Int("days", 7, "trace length in days (figs 5/6/corr)")
-		channels = fs.Int("channels", 24, "deployed channels")
-		users    = fs.Int("users", 1200, "registered accounts")
-		peak     = fs.Float64("peak", 400, "session arrivals/hour at the diurnal peak")
-		viewers  = fs.String("viewers", "50,200,800", "flash-crowd sizes (baseline)")
-		farms    = fs.String("farms", "1,2,4,8", "farm sizes (farm scaling)")
-		mega     = fs.String("mega", "50000,200000,1000000", "virtual-viewer sweep sizes (megascale)")
-		shards   = fs.Int("shards", 1, "worker lanes the megascale population stripes over (results are identical for any count)")
-		metrics  = fs.String("metrics", "", "directory for CSV/JSONL metric exports (empty = no exports)")
-		traceDir = fs.String("trace", "", "directory for causal-trace exports: <fig>_trace_events.json (Perfetto/chrome://tracing), _waterfall.txt, _critical_path.csv; arms week tracing (empty = no trace exports)")
-		traceEvN = fs.Int("traceevery", 10, "head-sample 1 in N week sessions when -trace is set (faults/scaleout trace every viewer)")
-	)
+	fig := fs.String("fig", "all", "figure to regenerate: "+strings.Join(figs, "|"))
+	fs.Int64Var(&r.seed, "seed", 1, "simulation seed")
+	fs.IntVar(&r.days, "days", 7, "trace length in days (figs 5/6/corr)")
+	fs.IntVar(&r.channels, "channels", 24, "deployed channels")
+	fs.IntVar(&r.users, "users", 1200, "registered accounts")
+	fs.Float64Var(&r.peak, "peak", 400, "session arrivals/hour at the diurnal peak")
+	fs.StringVar(&r.viewers, "viewers", "50,200,800", "flash-crowd sizes (baseline)")
+	fs.StringVar(&r.farms, "farms", "1,2,4,8", "farm sizes (farm scaling)")
+	fs.StringVar(&r.mega, "mega", "50000,200000,1000000", "virtual-viewer sweep sizes (megascale)")
+	fs.IntVar(&r.shards, "shards", 1, "worker lanes the megascale population stripes over (results are identical for any count)")
+	metrics := fs.String("metrics", "", "directory for CSV/JSONL metric exports (empty = no exports)")
+	traceDir := fs.String("trace", "", "directory for causal-trace exports: <fig>_trace_events.json (Perfetto/chrome://tracing), _waterfall.txt, _critical_path.csv; arms week tracing (empty = no trace exports)")
+	fs.IntVar(&r.traceEvery, "traceevery", 10, "head-sample 1 in N week sessions when -trace is set (the other observed figures trace every viewer)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	valid := false
-	for _, f := range figs {
-		if *fig == f {
-			valid = true
-		}
-	}
-	if !valid {
+	if !slices.Contains(figs, *fig) {
 		return fmt.Errorf("unknown -fig %q (valid: %s)", *fig, strings.Join(figs, ", "))
 	}
-	exporter, err := newExporter(*metrics)
-	if err != nil {
+	var err error
+	if r.metrics, err = newExporter(*metrics); err != nil {
 		return err
 	}
-	tracer, err := newExporter(*traceDir)
-	if err != nil {
+	if r.trace, err = newExporter(*traceDir); err != nil {
 		return err
 	}
+	for _, f := range figures {
+		if *fig != f.name && *fig != "all" {
+			continue
+		}
+		out, ob, err := f.run(&r)
+		if err != nil {
+			return err
+		}
+		fmt.Println(out)
+		if err := r.export(f.name, ob); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-	wantWeek := false
-	for _, f := range []string{"5a", "5b", "5c", "6", "corr", "all"} {
-		if *fig == f {
-			wantWeek = true
-		}
-	}
-
-	var week *exp.WeekResult
-	if wantWeek {
-		fmt.Fprintf(os.Stderr, "running %d-day trace (seed=%d, peak=%.0f sessions/h)...\n",
-			*days, *seed, *peak)
-		start := time.Now()
-		var err error
-		weekCfg := exp.WeekConfig{
-			Seed:                *seed,
-			Days:                *days,
-			Channels:            *channels,
-			Users:               *users,
-			PeakSessionsPerHour: *peak,
-		}
-		if tracer != nil {
-			weekCfg.TraceEvery = *traceEvN
-		}
-		week, err = exp.RunWeek(weekCfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "trace done in %v: %d sessions, %d feedback logs, peak %d concurrent\n",
-			time.Since(start).Round(time.Second), week.Sessions, week.Corpus.Logs(), week.PeakConcurrent)
-		if err := exporter.exportWeek(week); err != nil {
-			return err
-		}
-		if week.Trace != nil {
-			if err := tracer.exportTrace("week", week.Trace); err != nil {
-				return err
+// weekFig renders one panel of the week trace, which every week figure
+// shares: the first of them to run simulates it.
+func weekFig(render func(*exp.WeekResult) string) func(*runner) (string, *exp.Observed, error) {
+	return func(r *runner) (string, *exp.Observed, error) {
+		if r.week == nil {
+			fmt.Fprintf(os.Stderr, "running %d-day trace (seed=%d, peak=%.0f sessions/h)...\n",
+				r.days, r.seed, r.peak)
+			start := time.Now()
+			cfg := exp.WeekConfig{
+				Seed:                r.seed,
+				Days:                r.days,
+				Channels:            r.channels,
+				Users:               r.users,
+				PeakSessionsPerHour: r.peak,
 			}
-			fmt.Println(exp.RenderJourneyBreakdown(week.Trace))
-		}
-	}
-
-	show := func(f string) bool { return *fig == f || *fig == "all" }
-
-	if show("5a") {
-		fmt.Println(exp.RenderFig5(week, "Fig 5(a) login protocol", feedback.Login1, feedback.Login2))
-	}
-	if show("5b") {
-		fmt.Println(exp.RenderFig5(week, "Fig 5(b) channel switching protocol", feedback.Switch1, feedback.Switch2))
-	}
-	if show("5c") {
-		fmt.Println(exp.RenderFig5(week, "Fig 5(c) join protocol", feedback.Join))
-	}
-	if show("6") {
-		for _, r := range feedback.Rounds {
-			fmt.Println(exp.RenderFig6(week, r, 0, 21))
-		}
-	}
-	if show("corr") {
-		fmt.Println(exp.RenderCorrelations(week))
-	}
-	if show("baseline") {
-		counts, err := parseInts(*viewers)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "running flash-crowd sweep %v...\n", counts)
-		pts, err := exp.RunFlashSweep(exp.FlashConfig{Seed: *seed, Spread: 5 * time.Second, Workers: 1, ServiceMS: 10}, counts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(exp.RenderFlashSweep(pts))
-		for _, p := range pts {
-			p := p
-			if err := exporter.write(fmt.Sprintf("baseline_%d_trad_endpoints.csv", p.Viewers),
-				func(w io.Writer) error { return exp.WriteEndpointsCSV(w, p.Trad.Endpoints) }); err != nil {
-				return err
+			if r.trace != nil {
+				cfg.TraceEvery = r.traceEvery
 			}
-			if err := exporter.write(fmt.Sprintf("baseline_%d_drm_endpoints.csv", p.Viewers),
-				func(w io.Writer) error { return exp.WriteEndpointsCSV(w, p.DRM.Endpoints) }); err != nil {
-				return err
-			}
-		}
-	}
-	if show("churn") {
-		fmt.Fprintln(os.Stderr, "running churn study...")
-		res, err := exp.RunChurn(exp.ChurnConfig{Seed: *seed})
-		if err != nil {
-			return err
-		}
-		fmt.Println(exp.RenderChurn(res))
-	}
-	if show("zap") {
-		fmt.Fprintln(os.Stderr, "running zap study...")
-		res, err := exp.RunZap(exp.ZapConfig{Seed: *seed})
-		if err != nil {
-			return err
-		}
-		fmt.Println(exp.RenderZap(res))
-	}
-	if show("rekey") {
-		fmt.Fprintln(os.Stderr, "running re-key ablation...")
-		pts, err := exp.RunRekeyAblation(exp.RekeyConfig{Seed: *seed})
-		if err != nil {
-			return err
-		}
-		fmt.Println(exp.RenderRekey(pts))
-	}
-	if show("faults") {
-		fmt.Fprintln(os.Stderr, "running faulty flash crowd...")
-		res, err := exp.RunFaultFlash(exp.FaultFlashConfig{Seed: *seed})
-		if err != nil {
-			return err
-		}
-		fmt.Println(exp.RenderFaultFlash(res))
-		if err := exporter.exportFaults(res); err != nil {
-			return err
-		}
-		if err := tracer.exportTrace("faults", res.Trace); err != nil {
-			return err
-		}
-		if tracer != nil {
-			fmt.Println(exp.RenderJourneyBreakdown(res.Trace))
-		}
-	}
-	if show("scaleout") {
-		fmt.Fprintln(os.Stderr, "running elastic scale-out sweep...")
-		res, err := exp.RunScaleOut(exp.ScaleOutConfig{Seed: *seed})
-		if err != nil {
-			return err
-		}
-		fmt.Println(exp.RenderScaleOut(res))
-		if err := exporter.exportScaleOut(res); err != nil {
-			return err
-		}
-		if err := tracer.exportTrace("scaleout", res.Trace); err != nil {
-			return err
-		}
-	}
-	if show("megascale") {
-		counts, err := parseInts(*mega)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "running megascale sweep %v (shards=%d)...\n", counts, *shards)
-		pts := make([]*exp.MegaResult, 0, len(counts))
-		for i, n := range counts {
-			cfg := exp.MegaConfig{Seed: *seed, Viewers: n, Shards: *shards}
-			var files []*os.File
-			if i == len(counts)-1 {
-				// Only the largest point streams: per-point files for
-				// every sweep size would drown the export directory.
-				csvF, err := exporter.create("megascale_series.csv")
-				if err != nil {
-					return err
-				}
-				jslF, err := exporter.create("megascale_series.jsonl")
-				if err != nil {
-					return err
-				}
-				if csvF != nil {
-					cfg.MetricsCSV = csvF
-					files = append(files, csvF)
-				}
-				if jslF != nil {
-					cfg.MetricsJSONL = jslF
-					files = append(files, jslF)
-				}
-			}
-			res, err := exp.RunMegaScale(cfg)
-			for _, f := range files {
-				if cerr := f.Close(); cerr != nil && err == nil {
-					err = cerr
-				}
-			}
+			week, err := exp.RunWeek(cfg)
 			if err != nil {
-				return err
+				return "", nil, err
 			}
-			pts = append(pts, res)
+			fmt.Fprintf(os.Stderr, "trace done in %v: %d sessions, %d feedback logs, peak %d concurrent\n",
+				time.Since(start).Round(time.Second), week.Sessions, week.Corpus.Logs(), week.PeakConcurrent)
+			if err := r.export("week", &week.Observed); err != nil {
+				return "", nil, err
+			}
+			r.week = week
 		}
-		fmt.Println(exp.RenderMega(pts))
+		return render(r.week), nil, nil
 	}
-	if show("timeshift") {
-		fmt.Fprintln(os.Stderr, "running time-shifted viewing scenario...")
-		res, err := exp.RunTimeShift(exp.TimeShiftConfig{Seed: *seed})
-		if err != nil {
-			return err
+}
+
+func runBaseline(r *runner) (string, *exp.Observed, error) {
+	counts, err := parseInts(r.viewers)
+	if err != nil {
+		return "", nil, err
+	}
+	fmt.Fprintf(os.Stderr, "running flash-crowd sweep %v...\n", counts)
+	pts, err := exp.RunFlashSweep(exp.FlashConfig{Seed: r.seed, Spread: 5 * time.Second, Workers: 1, ServiceMS: 10}, counts)
+	if err != nil {
+		return "", nil, err
+	}
+	for _, p := range pts {
+		if err := r.metrics.endpoints(fmt.Sprintf("baseline_%d_trad_endpoints.csv", p.Viewers), p.Trad.Endpoints); err != nil {
+			return "", nil, err
 		}
-		fmt.Println(exp.RenderTimeShift(res))
-		if err := exporter.exportTimeShift(res); err != nil {
-			return err
+		if err := r.metrics.endpoints(fmt.Sprintf("baseline_%d_drm_endpoints.csv", p.Viewers), p.DRM.Endpoints); err != nil {
+			return "", nil, err
 		}
 	}
-	if show("adversary") {
-		fmt.Fprintln(os.Stderr, "running adversarial DRM scenario...")
-		res, err := exp.RunAdversary(exp.AdversaryConfig{Seed: *seed})
-		if err != nil {
-			return err
-		}
-		fmt.Println(exp.RenderAdversary(res))
-		if err := exporter.exportAdversary(res); err != nil {
-			return err
+	return exp.RenderFlashSweep(pts), nil, nil
+}
+
+func runFarm(r *runner) (string, *exp.Observed, error) {
+	sizes, err := parseInts(r.farms)
+	if err != nil {
+		return "", nil, err
+	}
+	fmt.Fprintf(os.Stderr, "running farm scaling %v...\n", sizes)
+	pts, err := exp.RunFarmScaling(exp.FarmConfig{Seed: r.seed, FarmSizes: sizes})
+	if err != nil {
+		return "", nil, err
+	}
+	for _, p := range pts {
+		if err := r.metrics.endpoints(fmt.Sprintf("farm_%d_endpoints.csv", p.Farm), p.Endpoints); err != nil {
+			return "", nil, err
 		}
 	}
-	if show("farm") {
-		sizes, err := parseInts(*farms)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "running farm scaling %v...\n", sizes)
-		pts, err := exp.RunFarmScaling(exp.FarmConfig{Seed: *seed, FarmSizes: sizes})
-		if err != nil {
-			return err
-		}
-		fmt.Println(exp.RenderFarm(pts))
-		for _, p := range pts {
-			p := p
-			if err := exporter.write(fmt.Sprintf("farm_%d_endpoints.csv", p.Farm),
-				func(w io.Writer) error { return exp.WriteEndpointsCSV(w, p.Endpoints) }); err != nil {
-				return err
+	return exp.RenderFarm(pts), nil, nil
+}
+
+func runMegascale(r *runner) (string, *exp.Observed, error) {
+	counts, err := parseInts(r.mega)
+	if err != nil {
+		return "", nil, err
+	}
+	fmt.Fprintf(os.Stderr, "running megascale sweep %v (shards=%d)...\n", counts, r.shards)
+	pts := make([]*exp.MegaResult, 0, len(counts))
+	for i, n := range counts {
+		cfg := exp.MegaConfig{Seed: r.seed, Viewers: n, Shards: r.shards}
+		var files []*os.File
+		if i == len(counts)-1 {
+			// Only the largest point streams: per-point files for every
+			// sweep size would drown the export directory.
+			csvF, err := r.metrics.create("megascale_series.csv")
+			if err != nil {
+				return "", nil, err
+			}
+			jslF, err := r.metrics.create("megascale_series.jsonl")
+			if err != nil {
+				return "", nil, err
+			}
+			if csvF != nil {
+				cfg.MetricsCSV = csvF
+				files = append(files, csvF)
+			}
+			if jslF != nil {
+				cfg.MetricsJSONL = jslF
+				files = append(files, jslF)
 			}
 		}
+		res, err := exp.RunMegaScale(cfg)
+		for _, f := range files {
+			if cerr := f.Close(); cerr != nil && err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			return "", nil, err
+		}
+		pts = append(pts, res)
 	}
+	return exp.RenderMega(pts), nil, nil
+}
+
+// export writes an observed figure's metric files under -metrics and
+// its causal-trace files under -trace, then prints the trace's journey
+// breakdown. A nil measurement (an unobserved figure) exports nothing.
+func (r *runner) export(name string, ob *exp.Observed) error {
+	if ob == nil {
+		return nil
+	}
+	if err := r.metrics.observed(name, ob); err != nil {
+		return err
+	}
+	if r.trace == nil || ob.Trace == nil {
+		return nil
+	}
+	if err := r.trace.traces(name, ob.Trace); err != nil {
+		return err
+	}
+	fmt.Println(exp.RenderJourneyBreakdown(ob.Trace))
 	return nil
 }
 
@@ -363,143 +392,58 @@ func (e *exporter) create(name string) (*os.File, error) {
 	return f, nil
 }
 
-func (e *exporter) exportWeek(week *exp.WeekResult) error {
+func (e *exporter) endpoints(name string, eps map[string]svc.Metrics) error {
+	return e.write(name, func(w io.Writer) error { return exp.WriteEndpointsCSV(w, eps) })
+}
+
+// observed writes one figure's measurement: <name>_phases.csv (when
+// the scenario has a timeline), _endpoints.csv, _calls.csv, _series.csv
+// and _trace.jsonl (when it ran traced).
+func (e *exporter) observed(name string, ob *exp.Observed) error {
 	if e == nil {
 		return nil
 	}
-	if err := e.write("week_series.csv", week.Series.WriteCSV); err != nil {
+	if len(ob.Phases) > 0 {
+		if err := e.write(name+"_phases.csv", func(w io.Writer) error {
+			return exp.WritePhasesCSV(w, ob.Phases)
+		}); err != nil {
+			return err
+		}
+	}
+	if err := e.endpoints(name+"_endpoints.csv", ob.Endpoints); err != nil {
 		return err
 	}
-	if err := e.write("week_endpoints.csv", func(w io.Writer) error {
-		return exp.WriteEndpointsCSV(w, week.Endpoints)
+	if err := e.write(name+"_calls.csv", func(w io.Writer) error {
+		return exp.WriteCallsCSV(w, ob.Calls)
 	}); err != nil {
 		return err
 	}
-	return e.write("week_calls.csv", func(w io.Writer) error {
-		return exp.WriteCallsCSV(w, week.Calls)
-	})
-}
-
-func (e *exporter) exportFaults(res *exp.FaultFlashResult) error {
-	if e == nil {
+	if err := e.write(name+"_series.csv", ob.Series.WriteCSV); err != nil {
+		return err
+	}
+	if ob.Trace == nil {
 		return nil
 	}
-	if err := e.write("faults_phases.csv", func(w io.Writer) error {
-		return exp.WritePhasesCSV(w, res.Phases)
-	}); err != nil {
-		return err
-	}
-	if err := e.write("faults_endpoints.csv", func(w io.Writer) error {
-		return exp.WriteEndpointsCSV(w, res.Endpoints)
-	}); err != nil {
-		return err
-	}
-	if err := e.write("faults_calls.csv", func(w io.Writer) error {
-		return exp.WriteCallsCSV(w, res.Calls)
-	}); err != nil {
-		return err
-	}
-	if err := e.write("faults_series.csv", res.Series.WriteCSV); err != nil {
-		return err
-	}
-	return e.write("faults_trace.jsonl", res.Trace.WriteJSONL)
+	return e.write(name+"_trace.jsonl", ob.Trace.WriteJSONL)
 }
 
-// exportTrace writes one figure's causal-trace artifacts: the Chrome
+// traces writes one figure's causal-trace artifacts: the Chrome
 // trace_event JSON (load at ui.perfetto.dev), the rendered per-viewer
 // waterfalls, and the flattened critical-path CSV.
-func (e *exporter) exportTrace(prefix string, t *obs.Trace) error {
-	if e == nil || t == nil {
-		return nil
-	}
-	if err := e.write(prefix+"_trace_events.json", func(w io.Writer) error {
+func (e *exporter) traces(name string, t *obs.Trace) error {
+	if err := e.write(name+"_trace_events.json", func(w io.Writer) error {
 		return exp.WriteTraceEvents(w, t)
 	}); err != nil {
 		return err
 	}
-	if err := e.write(prefix+"_waterfall.txt", func(w io.Writer) error {
+	if err := e.write(name+"_waterfall.txt", func(w io.Writer) error {
 		return exp.WriteWaterfalls(w, t)
 	}); err != nil {
 		return err
 	}
-	return e.write(prefix+"_critical_path.csv", func(w io.Writer) error {
+	return e.write(name+"_critical_path.csv", func(w io.Writer) error {
 		return exp.WriteCriticalPathCSV(w, t)
 	})
-}
-
-func (e *exporter) exportScaleOut(res *exp.ScaleOutResult) error {
-	if e == nil {
-		return nil
-	}
-	if err := e.write("scaleout_phases.csv", func(w io.Writer) error {
-		return exp.WritePhasesCSV(w, res.Phases)
-	}); err != nil {
-		return err
-	}
-	if err := e.write("scaleout_endpoints.csv", func(w io.Writer) error {
-		return exp.WriteEndpointsCSV(w, res.Endpoints)
-	}); err != nil {
-		return err
-	}
-	if err := e.write("scaleout_calls.csv", func(w io.Writer) error {
-		return exp.WriteCallsCSV(w, res.Calls)
-	}); err != nil {
-		return err
-	}
-	if err := e.write("scaleout_series.csv", res.Series.WriteCSV); err != nil {
-		return err
-	}
-	return e.write("scaleout_trace.jsonl", res.Trace.WriteJSONL)
-}
-
-func (e *exporter) exportTimeShift(res *exp.TimeShiftResult) error {
-	if e == nil {
-		return nil
-	}
-	if err := e.write("timeshift_phases.csv", func(w io.Writer) error {
-		return exp.WritePhasesCSV(w, res.Phases)
-	}); err != nil {
-		return err
-	}
-	if err := e.write("timeshift_endpoints.csv", func(w io.Writer) error {
-		return exp.WriteEndpointsCSV(w, res.Endpoints)
-	}); err != nil {
-		return err
-	}
-	if err := e.write("timeshift_calls.csv", func(w io.Writer) error {
-		return exp.WriteCallsCSV(w, res.Calls)
-	}); err != nil {
-		return err
-	}
-	if err := e.write("timeshift_series.csv", res.Series.WriteCSV); err != nil {
-		return err
-	}
-	return e.write("timeshift_trace.jsonl", res.Trace.WriteJSONL)
-}
-
-func (e *exporter) exportAdversary(res *exp.AdversaryResult) error {
-	if e == nil {
-		return nil
-	}
-	if err := e.write("adversary_phases.csv", func(w io.Writer) error {
-		return exp.WritePhasesCSV(w, res.Phases)
-	}); err != nil {
-		return err
-	}
-	if err := e.write("adversary_endpoints.csv", func(w io.Writer) error {
-		return exp.WriteEndpointsCSV(w, res.Endpoints)
-	}); err != nil {
-		return err
-	}
-	if err := e.write("adversary_calls.csv", func(w io.Writer) error {
-		return exp.WriteCallsCSV(w, res.Calls)
-	}); err != nil {
-		return err
-	}
-	if err := e.write("adversary_series.csv", res.Series.WriteCSV); err != nil {
-		return err
-	}
-	return e.write("adversary_trace.jsonl", res.Trace.WriteJSONL)
 }
 
 func parseInts(csv string) ([]int, error) {

@@ -42,18 +42,20 @@ func TestFigListCoversNewScenarios(t *testing.T) {
 	}
 }
 
-// TestMetricsExportWritesScenarioArtifacts pins the -metrics contract for
-// the conformance scenarios: each run must leave the full five-file set
-// (phases/endpoints/calls CSVs, the sampler series CSV, and the event
-// trace JSONL), every file non-empty.
+// TestMetricsExportWritesScenarioArtifacts pins the -metrics and -trace
+// contract for the observed scenarios: each run must leave the full
+// five-file metric set (phases/endpoints/calls CSVs, the sampler series
+// CSV, and the event trace JSONL) and the three causal-trace files
+// (trace_event JSON, waterfalls, critical-path CSV), every file
+// non-empty, with assembled login journeys in the waterfall.
 func TestMetricsExportWritesScenarioArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full scenario runs")
 	}
-	for _, fig := range []string{"timeshift", "adversary"} {
+	for _, fig := range []string{"faults", "scaleout", "timeshift", "adversary"} {
 		fig := fig
 		t.Run(fig, func(t *testing.T) {
-			dir := t.TempDir()
+			metrics, traces := t.TempDir(), t.TempDir()
 			// Silence the figure rendering; only the export side matters here.
 			old := os.Stdout
 			null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
@@ -61,14 +63,20 @@ func TestMetricsExportWritesScenarioArtifacts(t *testing.T) {
 				t.Fatal(err)
 			}
 			os.Stdout = null
-			err = run([]string{"-fig", fig, "-seed", "1", "-metrics", dir})
+			err = run([]string{"-fig", fig, "-seed", "1", "-metrics", metrics, "-trace", traces})
 			os.Stdout = old
 			null.Close()
 			if err != nil {
 				t.Fatal(err)
 			}
+			var paths []string
 			for _, suffix := range []string{"phases.csv", "endpoints.csv", "calls.csv", "series.csv", "trace.jsonl"} {
-				path := filepath.Join(dir, fig+"_"+suffix)
+				paths = append(paths, filepath.Join(metrics, fig+"_"+suffix))
+			}
+			for _, suffix := range []string{"trace_events.json", "waterfall.txt", "critical_path.csv"} {
+				paths = append(paths, filepath.Join(traces, fig+"_"+suffix))
+			}
+			for _, path := range paths {
 				st, err := os.Stat(path)
 				if err != nil {
 					t.Errorf("missing artifact %s: %v", path, err)
@@ -77,6 +85,13 @@ func TestMetricsExportWritesScenarioArtifacts(t *testing.T) {
 				if st.Size() == 0 {
 					t.Errorf("artifact %s is empty", path)
 				}
+			}
+			falls, err := os.ReadFile(filepath.Join(traces, fig+"_waterfall.txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(string(falls), "journey login") {
+				t.Error("waterfall holds no assembled login journey")
 			}
 		})
 	}

@@ -13,7 +13,6 @@ import (
 	"p2pdrm/internal/core"
 	"p2pdrm/internal/geo"
 	"p2pdrm/internal/keys"
-	"p2pdrm/internal/obs"
 	"p2pdrm/internal/simnet"
 	"p2pdrm/internal/svc"
 	"p2pdrm/internal/wire"
@@ -30,68 +29,38 @@ import (
 // capacity or continuity, never rights.
 type AdversaryConfig struct {
 	Seed int64
-	// Viewers is the honest audience size. Default 12.
-	Viewers int
-	// FreeRiders is the number of zero-capacity joiners arriving in the
-	// freeride phase. Default 6.
-	FreeRiders int
-	// Attackers is the number of replay nodes in the replay phase; each
-	// sends ReplayPerAttacker expired-ticket joins plus one stolen-ticket
-	// and one forged-ticket join. Defaults 5 and 3.
-	Attackers         int
-	ReplayPerAttacker int
-	// PhaseLen is the length of each phase (baseline, keyleak, freeride,
-	// replay). Default 75s.
-	PhaseLen time.Duration
-	// StormRekeys forced rotations spaced StormEvery apart make up the
-	// key-leak storm. Defaults 7 and 5s.
-	StormRekeys int
-	StormEvery  time.Duration
-	// TicketLifetime bounds Channel Tickets; short (default 90s) so blobs
-	// harvested in the baseline phase are expired by the replay phase.
-	TicketLifetime time.Duration
 
-	// FaultPartition severs PartitionShare of honest viewers from the
-	// root for PartitionFor during the freeride phase: their feed must
-	// re-parent through other viewers and the conformance verdict must
-	// stay clean. Defaults 0.25 and 20s.
+	// FaultPartition severs 25% of honest viewers from the root for 20s
+	// during the freeride phase: their feed must re-parent through other
+	// viewers and the conformance verdict must stay clean.
 	FaultPartition bool
-	PartitionShare float64
-	PartitionFor   time.Duration
 }
 
-func (c *AdversaryConfig) fill() {
-	if c.Viewers <= 0 {
-		c.Viewers = 12
-	}
-	if c.FreeRiders <= 0 {
-		c.FreeRiders = 6
-	}
-	if c.Attackers <= 0 {
-		c.Attackers = 5
-	}
-	if c.ReplayPerAttacker <= 0 {
-		c.ReplayPerAttacker = 3
-	}
-	if c.PhaseLen <= 0 {
-		c.PhaseLen = 75 * time.Second
-	}
-	if c.StormRekeys <= 0 {
-		c.StormRekeys = 7
-	}
-	if c.StormEvery <= 0 {
-		c.StormEvery = 5 * time.Second
-	}
-	if c.TicketLifetime <= 0 {
-		c.TicketLifetime = 90 * time.Second
-	}
-	if c.PartitionShare == 0 {
-		c.PartitionShare = 0.25
-	}
-	if c.PartitionFor <= 0 {
-		c.PartitionFor = 20 * time.Second
-	}
-}
+// The attack schedule's fixed shape.
+const (
+	// advViewers is the honest audience; advFreeRiders zero-capacity
+	// joiners arrive in the freeride phase.
+	advViewers    = 12
+	advFreeRiders = 6
+	// advAttackers replay nodes each send advReplayPerAttacker
+	// expired-ticket joins plus one stolen-ticket and one forged-ticket
+	// join in the replay phase.
+	advAttackers         = 5
+	advReplayPerAttacker = 3
+	// advPhaseLen is the length of each phase (baseline, keyleak,
+	// freeride, replay).
+	advPhaseLen = 75 * time.Second
+	// advStormRekeys forced rotations spaced advStormEvery apart make up
+	// the key-leak storm.
+	advStormRekeys = 7
+	advStormEvery  = 5 * time.Second
+	// advTicketLifetime bounds Channel Tickets; short so blobs harvested
+	// in the baseline phase are expired by the replay phase.
+	advTicketLifetime = 90 * time.Second
+	// FaultPartition's share of honest viewers and its length.
+	advPartitionShare = 0.25
+	advPartitionFor   = 20 * time.Second
+)
 
 // AdversaryResult reports the scenario outcome.
 type AdversaryResult struct {
@@ -122,12 +91,8 @@ type AdversaryResult struct {
 	Ring    keys.RingStats
 	Conform *conform.Report
 
-	Net       simnet.NetStats
-	Phases    []Phase
-	Endpoints map[string]svc.Metrics
-	Calls     map[string]svc.CallStats
-	Trace     *obs.Trace
-	Series    *obs.Series
+	// Observed phases: baseline → keyleak → freeride → replay.
+	Observed
 }
 
 // Fingerprint digests every counter into one line; two runs with the
@@ -158,20 +123,19 @@ func (r *AdversaryResult) Fingerprint() string {
 
 // RunAdversary runs the adversarial DRM scenario.
 func RunAdversary(cfg AdversaryConfig) (*AdversaryResult, error) {
-	cfg.fill()
 	// Grace covers the overlay's eviction slack (see RunTimeShift); the
 	// natural rekey interval is pushed past the run so the storm owns
 	// every rotation.
 	oracle := conform.New(conform.Config{Grace: 12 * time.Second, MaxViolations: 64})
 	var sys *core.System
-	sys, err := core.NewSystem(core.Options{
+	sys, ob, err := observe(8192, core.Options{
 		Seed:                  cfg.Seed,
 		Partitions:            []string{"live"},
 		RekeyInterval:         10 * time.Minute,
 		PacketInterval:        time.Second,
 		RootRegion:            100,
 		RootMaxChildren:       4, // a real tree: most viewers peer off other viewers
-		ChannelTicketLifetime: cfg.TicketLifetime,
+		ChannelTicketLifetime: advTicketLifetime,
 		OnRekey: func(_ string, serial keys.Serial) {
 			oracle.RecordRekey(serial, sys.Sched.Now())
 		},
@@ -180,7 +144,7 @@ func RunAdversary(cfg AdversaryConfig) (*AdversaryResult, error) {
 		return nil, err
 	}
 	start := sys.Sched.Now()
-	phase := func(n int) time.Time { return start.Add(time.Duration(n) * cfg.PhaseLen) }
+	phase := func(n int) time.Time { return start.Add(time.Duration(n) * advPhaseLen) }
 	deadline := phase(4)
 	eventEnd := deadline.Add(10 * time.Minute)
 
@@ -191,32 +155,27 @@ func RunAdversary(cfg AdversaryConfig) (*AdversaryResult, error) {
 
 	var mu sync.Mutex
 	res := &AdversaryResult{
-		Viewers:         cfg.Viewers,
-		FreeRiders:      cfg.FreeRiders,
-		Attackers:       cfg.Attackers,
+		Viewers:         advViewers,
+		FreeRiders:      advFreeRiders,
+		Attackers:       advAttackers,
 		FreeRiderDenied: make(map[string]int64),
 		ReplayOutcomes:  make(map[string]int64),
-		Calls:           make(map[string]svc.CallStats),
 	}
 
-	trace := obs.NewTrace(8192)
-	bounds := []PhaseBoundary{
+	ob.start(5*time.Second, deadline, []PhaseBoundary{
 		{Name: "baseline", At: start},
 		{Name: "keyleak", At: phase(1)},
 		{Name: "freeride", At: phase(2)},
 		{Name: "replay", At: phase(3)},
-	}
-	phases := RecordPhases(sys, bounds)
-	sampler := NewSystemSampler(sys, 5*time.Second)
-	sampler.Run(sys.Sched, deadline)
+	})
 
-	total := cfg.Viewers + cfg.FreeRiders
+	total := advViewers + advFreeRiders
 	names := make([]string, total)
 	for i := 0; i < total; i++ {
-		if i < cfg.Viewers {
+		if i < advViewers {
 			names[i] = fmt.Sprintf("adv%03d@e", i)
 		} else {
-			names[i] = fmt.Sprintf("rider%03d@e", i-cfg.Viewers)
+			names[i] = fmt.Sprintf("rider%03d@e", i-advViewers)
 		}
 		if _, err := sys.RegisterUser(names[i], "pw"); err != nil {
 			return nil, err
@@ -230,8 +189,8 @@ func RunAdversary(cfg AdversaryConfig) (*AdversaryResult, error) {
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
-	honestOffsets := workload.FlashCrowd(rng, cfg.Viewers, 20*time.Second)
-	riderOffsets := workload.FlashCrowd(rng, cfg.FreeRiders, 20*time.Second)
+	honestOffsets := workload.FlashCrowd(rng, advViewers, 20*time.Second)
+	riderOffsets := workload.FlashCrowd(rng, advFreeRiders, 20*time.Second)
 	addrs := make([]simnet.Addr, total)
 	for i := range addrs {
 		addrs[i] = geo.Addr(100, 1+i%40, i+1)
@@ -241,13 +200,13 @@ func RunAdversary(cfg AdversaryConfig) (*AdversaryResult, error) {
 	// the freeride phase; their feed must re-parent through other viewers.
 	var partitioned []int
 	if cfg.FaultPartition {
-		partitioned = workload.PickSubset(rng, cfg.Viewers, int(float64(cfg.Viewers)*cfg.PartitionShare))
+		partitioned = workload.PickSubset(rng, advViewers, int(float64(advViewers)*advPartitionShare))
 		var partAddrs []simnet.Addr
 		for _, i := range partitioned {
 			partAddrs = append(partAddrs, addrs[i])
 		}
 		sys.Net.SchedulePartition(partAddrs, []simnet.Addr{rootAddr},
-			phase(2).Add(35*time.Second), cfg.PartitionFor)
+			phase(2).Add(35*time.Second), advPartitionFor)
 	}
 	res.Partitioned = len(partitioned)
 
@@ -256,9 +215,8 @@ func RunAdversary(cfg AdversaryConfig) (*AdversaryResult, error) {
 	for i := 0; i < total; i++ {
 		i := i
 		name := names[i]
-		rider := i >= cfg.Viewers
-		c, err := sys.NewClient(name, "pw", addrs[i], func(cc *client.Config) {
-			cc.Trace = trace
+		rider := i >= advViewers
+		c, err := ob.client(name, addrs[i], name, func(cc *client.Config) {
 			if rider {
 				cc.PeerCapacity = -1 // declared free-rider
 			}
@@ -284,7 +242,7 @@ func RunAdversary(cfg AdversaryConfig) (*AdversaryResult, error) {
 
 		var arrive time.Duration
 		if rider {
-			arrive = cfg.PhaseLen*2 + riderOffsets[i-cfg.Viewers]
+			arrive = advPhaseLen*2 + riderOffsets[i-advViewers]
 		} else {
 			arrive = honestOffsets[i]
 		}
@@ -326,9 +284,9 @@ func RunAdversary(cfg AdversaryConfig) (*AdversaryResult, error) {
 
 	// Key-leak storm: the provider's emergency response to a leaked
 	// content key — forced rotations with no advance distribution.
-	for k := 0; k < cfg.StormRekeys; k++ {
+	for k := 0; k < advStormRekeys; k++ {
 		k := k
-		sys.Sched.At(phase(1).Add(3*time.Second+time.Duration(k)*cfg.StormEvery), func() {
+		sys.Sched.At(phase(1).Add(3*time.Second+time.Duration(k)*advStormEvery), func() {
 			if _, err := sys.Servers["ppv"].ForceRekey(); err == nil {
 				mu.Lock()
 				res.ForcedRekeys++
@@ -351,7 +309,7 @@ func RunAdversary(cfg AdversaryConfig) (*AdversaryResult, error) {
 	frng := rand.New(rand.NewSource(cfg.Seed + 7))
 	garbage := make([]byte, 64)
 	frng.Read(garbage)
-	for a := 0; a < cfg.Attackers; a++ {
+	for a := 0; a < advAttackers; a++ {
 		a := a
 		node := sys.Net.NewNode(geo.Addr(100, 90, 500+a))
 		sys.Sched.At(phase(3).Add(5*time.Second+time.Duration(a)*2*time.Second), func() {
@@ -374,12 +332,12 @@ func RunAdversary(cfg AdversaryConfig) (*AdversaryResult, error) {
 						res.ReplayOutcomes[resp.Code.String()]++
 					}
 				}
-				for r := 0; r < cfg.ReplayPerAttacker; r++ {
+				for r := 0; r < advReplayPerAttacker; r++ {
 					rawJoin(staleBlob) // expired: harvested in baseline
 					sys.Sched.Sleep(3 * time.Second)
 				}
 				// Stolen: a live viewer's current ticket from our address.
-				if b := clients[1+a%(cfg.Viewers-1)].ChannelTicketBlob(); len(b) > 0 {
+				if b := clients[1+a%(advViewers-1)].ChannelTicketBlob(); len(b) > 0 {
 					rawJoin(append([]byte(nil), b...))
 				}
 				rawJoin(garbage) // forged
@@ -407,22 +365,13 @@ func RunAdversary(cfg AdversaryConfig) (*AdversaryResult, error) {
 			if ring.DeepestMiss > res.Ring.DeepestMiss {
 				res.Ring.DeepestMiss = ring.DeepestMiss
 			}
-			if i >= cfg.Viewers && c.Watching() != "" {
+			if i >= advViewers && c.Watching() != "" {
 				res.FreeRidersWatching++
 			}
 		}
-		for name, cs := range c.Policy().Stats() {
-			t := res.Calls[name]
-			t.Merge(cs)
-			res.Calls[name] = t
-		}
 	}
 	res.Conform = oracle.Finish()
-	res.Net = sys.Net.Stats()
-	res.Phases = phases.Finish()
-	res.Endpoints = sys.EndpointTotals()
-	res.Trace = trace
-	res.Series = sampler.Series()
+	res.Observed = ob.finish()
 	return res, nil
 }
 

@@ -12,6 +12,7 @@ import (
 // ticket flood, rights enforcement must not budge — zero false grants,
 // zero false denials, no replay accepted, and every refusal typed.
 func TestAdversaryConformance(t *testing.T) {
+	t.Parallel()
 	res, err := RunAdversary(AdversaryConfig{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -58,6 +59,7 @@ func TestAdversaryConformance(t *testing.T) {
 const goldenAdversary = "v=12 fr=6 atk=5 frames=4848 rekeys=7 stormfail=13 frref=13 fradm=12 frwatch=6 replay=25 acc=0 rep.addr_mismatch=5 rep.bad_ticket=5 rep.expired_ticket=15 part=0 ring=4861/13/0/13 conform[decrypts=4861 ok=4848 falseGrant=0 falseDeny=0 windowBreach=0 ticketOverrun=0 graceGrant=0 windowDeny=0] sent=5955 drop=0 drm.chanlist=18/0/0/0 drm.login1=19/0/0/0 drm.login2=19/0/0/0 drm.redirect=19/0/0/0 drm.switch1=106/0/0/0 drm.switch2=106/0/0/0"
 
 func TestAdversaryDeterminismGolden(t *testing.T) {
+	t.Parallel()
 	res, err := RunAdversary(AdversaryConfig{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
@@ -75,6 +77,7 @@ func TestAdversaryDeterminismGolden(t *testing.T) {
 // other viewers, and none of the attacks may convert the outage into a
 // rights breach.
 func TestAdversaryPartitionChaos(t *testing.T) {
+	t.Parallel()
 	res, err := RunAdversary(AdversaryConfig{Seed: 33, FaultPartition: true})
 	if err != nil {
 		t.Fatal(err)

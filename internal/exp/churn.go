@@ -29,9 +29,6 @@ type ChurnConfig struct {
 	// Parents is the per-viewer parent count (receiver-based
 	// peer-division multiplexing; 1 disables PDM). Default 2.
 	Parents int
-	// Parallelism bounds concurrent sweep points in RunChurnSweep
-	// (0 = GOMAXPROCS, 1 = sequential).
-	Parallelism int
 }
 
 func (c *ChurnConfig) fill() {

@@ -7,6 +7,7 @@ import (
 )
 
 func TestChurnSurvivorsRecover(t *testing.T) {
+	t.Parallel()
 	res, err := RunChurn(ChurnConfig{
 		Seed:            2,
 		Viewers:         30,
@@ -37,6 +38,7 @@ func TestChurnSurvivorsRecover(t *testing.T) {
 }
 
 func TestChurnHeavyLossOrphansHeal(t *testing.T) {
+	t.Parallel()
 	// A deeper overlay (60 viewers, tiny root) where departures orphan
 	// whole subtrees: the stall watchdog's channel resets must reconnect
 	// them to the root's component.

@@ -91,6 +91,7 @@ var goldenMegaCfg = MegaConfig{
 }
 
 func TestFarmDeterminismGolden(t *testing.T) {
+	t.Parallel()
 	for _, workers := range []int{1, 4} {
 		cfg := goldenFarmCfg
 		cfg.Parallelism = workers
@@ -110,6 +111,7 @@ func TestFarmDeterminismGolden(t *testing.T) {
 }
 
 func TestWeekDeterminismGolden(t *testing.T) {
+	t.Parallel()
 	res, err := RunWeek(goldenWeekCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -128,6 +130,7 @@ func TestWeekDeterminismGolden(t *testing.T) {
 // same replicate seeds must yield identical corpora whether the points
 // run on one worker or many.
 func TestWeekReplicatesSeqParIdentical(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("replicated week runs in -short mode")
 	}

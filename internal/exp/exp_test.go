@@ -2,17 +2,18 @@ package exp
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"p2pdrm/internal/feedback"
 )
 
-// smallWeek runs a heavily scaled-down trace (1 day, light load) so the
-// whole pipeline is exercised in CI time.
-func smallWeek(t *testing.T) *WeekResult {
-	t.Helper()
-	res, err := RunWeek(WeekConfig{
+// smallWeek runs a heavily scaled-down trace (1 day, light load) once,
+// so the whole pipeline is exercised in CI time; the parallel tests
+// below share its read-only result.
+var smallWeek = sync.OnceValues(func() (*WeekResult, error) {
+	return RunWeek(WeekConfig{
 		Seed:                1,
 		Days:                1,
 		Channels:            4,
@@ -21,22 +22,19 @@ func smallWeek(t *testing.T) *WeekResult {
 		MeanSession:         20 * time.Minute,
 		MeanZap:             10 * time.Minute,
 	})
+})
+
+func week(t *testing.T) *WeekResult {
+	t.Helper()
+	res, err := smallWeek()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
-var cachedWeek *WeekResult
-
-func week(t *testing.T) *WeekResult {
-	if cachedWeek == nil {
-		cachedWeek = smallWeek(t)
-	}
-	return cachedWeek
-}
-
 func TestRunWeekProducesSamplesForAllRounds(t *testing.T) {
+	t.Parallel()
 	res := week(t)
 	if res.Sessions < 100 {
 		t.Fatalf("only %d sessions in a day at 60/h peak", res.Sessions)
@@ -60,6 +58,7 @@ func TestRunWeekProducesSamplesForAllRounds(t *testing.T) {
 }
 
 func TestWeekDiurnalShapeInUserSeries(t *testing.T) {
+	t.Parallel()
 	res := week(t)
 	pts := res.Corpus.Hourly(feedback.Login1, res.Start, res.Hours)
 	// Evening hours (18–23) must carry more users than night (1–5).
@@ -78,6 +77,7 @@ func TestWeekDiurnalShapeInUserSeries(t *testing.T) {
 }
 
 func TestWeekLatencyFlatDespiteLoad(t *testing.T) {
+	t.Parallel()
 	// The paper's headline result: protocol latency is essentially
 	// independent of concurrent users.
 	res := week(t)
@@ -89,6 +89,7 @@ func TestWeekLatencyFlatDespiteLoad(t *testing.T) {
 }
 
 func TestWeekFig6CDFsNearlyIdentical(t *testing.T) {
+	t.Parallel()
 	res := week(t)
 	peak, off := res.Fig6Split(feedback.Switch1)
 	if len(peak) == 0 || len(off) == 0 {
@@ -102,6 +103,7 @@ func TestWeekFig6CDFsNearlyIdentical(t *testing.T) {
 }
 
 func TestRenderers(t *testing.T) {
+	t.Parallel()
 	res := week(t)
 	fig5 := RenderFig5(res, "Fig 5(a)", feedback.Login1, feedback.Login2)
 	if !strings.Contains(fig5, "LOGIN1") || !strings.Contains(fig5, "users") {
@@ -118,6 +120,7 @@ func TestRenderers(t *testing.T) {
 }
 
 func TestFlashCrowdBaselineScaling(t *testing.T) {
+	t.Parallel()
 	// Shape assertion (§I): as correlated arrivals grow past the central
 	// License Manager's capacity, its tail latency blows up; the
 	// distributed design's end-to-end latency stays roughly flat.
@@ -157,6 +160,7 @@ func TestFlashCrowdBaselineScaling(t *testing.T) {
 }
 
 func TestFarmScalingImprovesTailLatency(t *testing.T) {
+	t.Parallel()
 	pts, err := RunFarmScaling(FarmConfig{
 		Seed:      1,
 		Viewers:   150,

@@ -12,7 +12,6 @@ import (
 	"p2pdrm/internal/core"
 	"p2pdrm/internal/feedback"
 	"p2pdrm/internal/geo"
-	"p2pdrm/internal/obs"
 	"p2pdrm/internal/simnet"
 	"p2pdrm/internal/svc"
 	"p2pdrm/internal/workload"
@@ -31,44 +30,40 @@ type FaultFlashConfig struct {
 	Seed    int64
 	Viewers int           // default 120
 	Spread  time.Duration // arrival spread after event start; default 20s
-	// Per-backend capacity (same roles as FlashConfig).
-	Workers   int
-	ServiceMS float64
-	// Farm sizes; defaults mirror §VI (2 UM, 2 CM on the live partition).
-	UserMgrFarm    int
-	ChannelMgrFarm int
-
-	// LinkLoss is the loss probability on every link. Default 0.02.
-	LinkLoss float64
-	// DegradedShare of viewers get DegradedLoss on their infrastructure
-	// links instead (a bad last mile). Defaults 0.10 and 0.15.
-	DegradedShare float64
-	DegradedLoss  float64
-	// CrashAt/CrashFor: the whole User Manager farm goes down CrashAt
-	// after event start and restarts CrashFor later. The VIP black-holes
-	// for the window — the paper's managers are what must be survivable.
-	// Defaults 10s and 15s.
-	CrashAt  time.Duration
-	CrashFor time.Duration
-	// CMCrashAt/CMCrashFor: one Channel Manager backend crashes and
-	// restarts; its VIP health-checks around it, in-flight requests are
-	// lost. Defaults 15s and 10s.
-	CMCrashAt  time.Duration
-	CMCrashFor time.Duration
-	// PartitionShare of viewers lose their link to the Channel Manager
-	// VIP at PartitionAt, healed PartitionFor later. Defaults 0.15, 5s,
-	// 10s.
-	PartitionShare float64
-	PartitionAt    time.Duration
-	PartitionFor   time.Duration
-
-	// RPCTimeout is the per-attempt deadline clients use (short, so
-	// retries fit the session). Default 3s.
-	RPCTimeout time.Duration
-	// Deadline bounds the whole scenario: every viewer must be watching
-	// within Deadline of event start. Default 4m.
-	Deadline time.Duration
 }
+
+// The fault schedule and deployment every faulty flash crowd runs
+// against (offsets are from event start).
+const (
+	// Per-backend capacity of the 2 UM and 2 CM backends (§VI sizes).
+	faultWorkers   = 2
+	faultServiceMS = 8
+	// faultLinkLoss is the loss probability on every link; a
+	// faultDegradedShare of viewers get faultDegradedLoss on their
+	// infrastructure links instead (a bad last mile).
+	faultLinkLoss      = 0.02
+	faultDegradedShare = 0.10
+	faultDegradedLoss  = 0.15
+	// The whole User Manager farm goes down at faultCrashAt and restarts
+	// faultCrashFor later: the VIP black-holes for the window — the
+	// paper's managers are what must be survivable.
+	faultCrashAt  = 10 * time.Second
+	faultCrashFor = 15 * time.Second
+	// One Channel Manager backend crashes and restarts; its VIP
+	// health-checks around it, in-flight requests are lost.
+	faultCMCrashAt  = 15 * time.Second
+	faultCMCrashFor = 10 * time.Second
+	// A faultPartitionShare of viewers lose their link to the Channel
+	// Manager VIP at faultPartitionAt, healed faultPartitionFor later.
+	faultPartitionShare = 0.15
+	faultPartitionAt    = 5 * time.Second
+	faultPartitionFor   = 10 * time.Second
+	// faultRPCTimeout is the per-attempt client deadline (short, so
+	// retries fit the session); every viewer must be watching within
+	// faultDeadline of event start.
+	faultRPCTimeout = 3 * time.Second
+	faultDeadline   = 4 * time.Minute
+)
 
 func (c *FaultFlashConfig) fill() {
 	if c.Viewers <= 0 {
@@ -76,54 +71,6 @@ func (c *FaultFlashConfig) fill() {
 	}
 	if c.Spread <= 0 {
 		c.Spread = 20 * time.Second
-	}
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
-	if c.ServiceMS <= 0 {
-		c.ServiceMS = 8
-	}
-	if c.UserMgrFarm <= 0 {
-		c.UserMgrFarm = 2
-	}
-	if c.ChannelMgrFarm <= 0 {
-		c.ChannelMgrFarm = 2
-	}
-	if c.LinkLoss == 0 {
-		c.LinkLoss = 0.02
-	}
-	if c.DegradedShare == 0 {
-		c.DegradedShare = 0.10
-	}
-	if c.DegradedLoss == 0 {
-		c.DegradedLoss = 0.15
-	}
-	if c.CrashAt <= 0 {
-		c.CrashAt = 10 * time.Second
-	}
-	if c.CrashFor <= 0 {
-		c.CrashFor = 15 * time.Second
-	}
-	if c.CMCrashAt <= 0 {
-		c.CMCrashAt = 15 * time.Second
-	}
-	if c.CMCrashFor <= 0 {
-		c.CMCrashFor = 10 * time.Second
-	}
-	if c.PartitionShare == 0 {
-		c.PartitionShare = 0.15
-	}
-	if c.PartitionAt <= 0 {
-		c.PartitionAt = 5 * time.Second
-	}
-	if c.PartitionFor <= 0 {
-		c.PartitionFor = 10 * time.Second
-	}
-	if c.RPCTimeout <= 0 {
-		c.RPCTimeout = 3 * time.Second
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 4 * time.Minute
 	}
 }
 
@@ -144,20 +91,10 @@ type FaultFlashResult struct {
 	TransportRetries int64 // attempts beyond each call's first
 	BreakerOpens     int64 // circuit-open transitions across all clients
 	BreakerRejects   int64 // calls rejected fast by an open circuit
-	Calls            map[string]svc.CallStats
 
-	// Net is the network's message counters with the drop breakdown
-	// (why messages died: severed links vs. loss draws).
-	Net simnet.NetStats
-	// Phases are the fault timeline's endpoint deltas: ramp → partition
-	// → um-outage → cm-crash → healed.
-	Phases []Phase
-	// Endpoints is the final server-side snapshot across the deployment.
-	Endpoints map[string]svc.Metrics
-	// Trace is the protocol-round span ring shared by every client.
-	Trace *obs.Trace
-	// Series is the 5-second system time series over the scenario.
-	Series *obs.Series
+	// Observed phases follow the fault timeline: ramp → partition →
+	// um-outage → cm-crash → healed.
+	Observed
 }
 
 // Fingerprint digests every counter and latency into one line. Two runs
@@ -192,30 +129,25 @@ func sortedCallNames(m map[string]svc.CallStats) []string {
 // RunFaultFlash runs the faulty flash crowd.
 func RunFaultFlash(cfg FaultFlashConfig) (*FaultFlashResult, error) {
 	cfg.fill()
-	// One span ring shared by every client and every service runtime.
-	// Span IDs are pure hashes and the trace envelope perturbs no
-	// timing or RNG draw, so arming it leaves the fingerprint intact.
-	trace := obs.NewTrace(8192)
-	sys, err := core.NewSystem(core.Options{
-		Trace:          trace,
+	sys, ob, err := observe(8192, core.Options{
 		Seed:           cfg.Seed,
-		UserMgrFarm:    cfg.UserMgrFarm,
+		UserMgrFarm:    2,
 		Partitions:     []string{"live"},
-		ChannelMgrFarm: cfg.ChannelMgrFarm,
+		ChannelMgrFarm: 2,
 		UserMgrCapacity: core.CapacityModel{
-			Workers: cfg.Workers, ServiceTime: expService(cfg.Seed+3, cfg.ServiceMS),
+			Workers: faultWorkers, ServiceTime: expService(cfg.Seed+3, faultServiceMS),
 		},
 		ChannelMgrCapacity: core.CapacityModel{
-			Workers: cfg.Workers, ServiceTime: expService(cfg.Seed+4, cfg.ServiceMS),
+			Workers: faultWorkers, ServiceTime: expService(cfg.Seed+4, faultServiceMS),
 		},
 		PacketInterval: 24 * 365 * time.Hour, // protocol-only, as in RunWeek
-		PacketLoss:     cfg.LinkLoss,
+		PacketLoss:     faultLinkLoss,
 	})
 	if err != nil {
 		return nil, err
 	}
 	start := sys.Sched.Now()
-	deadline := start.Add(cfg.Deadline)
+	deadline := start.Add(faultDeadline)
 	if err := sys.DeployChannel(core.FreeToView("live-event", "Live Event", "100")); err != nil {
 		return nil, err
 	}
@@ -227,8 +159,8 @@ func RunFaultFlash(cfg FaultFlashConfig) (*FaultFlashResult, error) {
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
 	offsets := workload.FlashCrowd(rng, cfg.Viewers, cfg.Spread)
-	degraded := workload.PickSubset(rng, cfg.Viewers, int(float64(cfg.Viewers)*cfg.DegradedShare))
-	partitioned := workload.PickSubset(rng, cfg.Viewers, int(float64(cfg.Viewers)*cfg.PartitionShare))
+	degraded := workload.PickSubset(rng, cfg.Viewers, int(float64(cfg.Viewers)*faultDegradedShare))
+	partitioned := workload.PickSubset(rng, cfg.Viewers, int(float64(cfg.Viewers)*faultPartitionShare))
 
 	addrs := make([]simnet.Addr, cfg.Viewers)
 	for i := range addrs {
@@ -240,7 +172,7 @@ func RunFaultFlash(cfg FaultFlashConfig) (*FaultFlashResult, error) {
 	infra := append(sys.InfraAddrs(), core.AddrChannelRoot("live-event"))
 	for _, i := range degraded {
 		for _, dst := range infra {
-			sys.Net.SetLinkLoss(addrs[i], dst, cfg.DegradedLoss)
+			sys.Net.SetLinkLoss(addrs[i], dst, faultDegradedLoss)
 		}
 	}
 	var partAddrs []simnet.Addr
@@ -248,27 +180,23 @@ func RunFaultFlash(cfg FaultFlashConfig) (*FaultFlashResult, error) {
 		partAddrs = append(partAddrs, addrs[i])
 	}
 	cmVIP := core.AddrChannelMgr("live")
-	sys.Net.SchedulePartition(partAddrs, []simnet.Addr{cmVIP}, start.Add(cfg.PartitionAt), cfg.PartitionFor)
+	sys.Net.SchedulePartition(partAddrs, []simnet.Addr{cmVIP}, start.Add(faultPartitionAt), faultPartitionFor)
 	for _, b := range sys.UserMgrBackends() {
-		sys.Net.ScheduleDown(b, start.Add(cfg.CrashAt), cfg.CrashFor)
+		sys.Net.ScheduleDown(b, start.Add(faultCrashAt), faultCrashFor)
 	}
 	if cmb := sys.ChannelMgrBackends(); len(cmb) > 0 {
-		sys.Net.ScheduleDown(cmb[0], start.Add(cfg.CMCrashAt), cfg.CMCrashFor)
+		sys.Net.ScheduleDown(cmb[0], start.Add(faultCMCrashAt), faultCMCrashFor)
 	}
 
-	// Observability: a per-phase endpoint recorder keyed to the fault
-	// timeline and a 5-second system sampler. Both ride scheduled events
-	// and atomics — the run's byte-determinism (and the fault-free
-	// golden fingerprints) are unaffected.
-	phases := RecordPhases(sys, []PhaseBoundary{
+	// Observability: phases keyed to the fault timeline and a 5-second
+	// system sampler.
+	ob.start(5*time.Second, deadline, []PhaseBoundary{
 		{Name: "ramp", At: start},
-		{Name: "partition", At: start.Add(cfg.PartitionAt)},
-		{Name: "um-outage", At: start.Add(cfg.CrashAt)},
-		{Name: "cm-crash", At: start.Add(cfg.CMCrashAt)},
-		{Name: "healed", At: start.Add(cfg.CrashAt + cfg.CrashFor)},
+		{Name: "partition", At: start.Add(faultPartitionAt)},
+		{Name: "um-outage", At: start.Add(faultCrashAt)},
+		{Name: "cm-crash", At: start.Add(faultCMCrashAt)},
+		{Name: "healed", At: start.Add(faultCrashAt + faultCrashFor)},
 	})
-	sampler := NewSystemSampler(sys, 5*time.Second)
-	sampler.Run(sys.Sched, deadline)
 
 	var mu sync.Mutex
 	var lats []time.Duration // arrival → watching
@@ -279,13 +207,11 @@ func RunFaultFlash(cfg FaultFlashConfig) (*FaultFlashResult, error) {
 	for i := 0; i < cfg.Viewers; i++ {
 		i := i
 		email := fmt.Sprintf("v%05d@e", i)
-		c, err := sys.NewClient(email, "pw", addrs[i], func(cc *client.Config) {
-			cc.RPCTimeout = cfg.RPCTimeout
+		c, err := ob.client(email, addrs[i], email, func(cc *client.Config) {
+			cc.RPCTimeout = faultRPCTimeout
 			cc.RPCAttempts = 3
 			cc.BreakerThreshold = 3
 			cc.BreakerCooldown = 4 * time.Second
-			cc.Trace = trace
-			cc.TraceID = obs.TraceIDFor(cfg.Seed, email)
 		})
 		if err != nil {
 			return nil, err
@@ -340,24 +266,16 @@ func RunFaultFlash(cfg FaultFlashConfig) (*FaultFlashResult, error) {
 		P95:            feedback.Quantile(lats, 0.95),
 		Max:            feedback.Quantile(lats, 1.0),
 		SessionRetries: sessionRetries,
-		Calls:          make(map[string]svc.CallStats),
+		Observed:       ob.finish(),
 	}
 	for _, c := range clients {
 		st := c.Stats()
 		res.ProtocolRestarts += st.Restarts
 		res.TransportRetries += st.Retries
 		res.BreakerOpens += st.BreakerOpens
-		for name, cs := range c.Policy().Stats() {
-			t := res.Calls[name]
-			t.Merge(cs)
-			res.Calls[name] = t
-			res.BreakerRejects += cs.BreakerRejects
-		}
 	}
-	res.Net = sys.Net.Stats()
-	res.Phases = phases.Finish()
-	res.Endpoints = sys.EndpointTotals()
-	res.Trace = trace
-	res.Series = sampler.Series()
+	for _, cs := range res.Calls {
+		res.BreakerRejects += cs.BreakerRejects
+	}
 	return res, nil
 }

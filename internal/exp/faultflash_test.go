@@ -11,6 +11,7 @@ import (
 // backend rebooting, every viewer still reaches playback before the
 // session deadline.
 func TestFaultFlashAllReachPlayback(t *testing.T) {
+	t.Parallel()
 	res, err := RunFaultFlash(FaultFlashConfig{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -55,6 +56,7 @@ func TestFaultFlashAllReachPlayback(t *testing.T) {
 // jitter, breaker cooldowns, crash/heal schedules and all — must be
 // byte-deterministic for a fixed seed. Two runs, identical fingerprints.
 func TestFaultFlashDeterministicForFixedSeed(t *testing.T) {
+	t.Parallel()
 	cfg := FaultFlashConfig{Seed: 17, Viewers: 60, Spread: 15 * time.Second}
 	a, err := RunFaultFlash(cfg)
 	if err != nil {

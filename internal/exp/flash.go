@@ -22,7 +22,8 @@ import (
 // backend on the DRM side — gets the same Workers/ServiceMS capacity;
 // the architectural difference is that the baseline cannot spread load
 // (per-client license state pins it to one stateful server) while the
-// paper's stateless managers farm out and the P2P overlay absorbs joins.
+// paper's stateless managers farm out and the P2P overlay absorbs joins:
+// the DRM side runs 4 User Manager and 4 Channel Manager backends.
 type FlashConfig struct {
 	Seed    int64
 	Viewers int // single-point runs
@@ -30,13 +31,10 @@ type FlashConfig struct {
 	// Per-backend capacity.
 	Workers   int
 	ServiceMS float64
-	// Farms for the DRM side (defaults mirror §VI: 2 UM, 2×2 CM).
-	UserMgrFarm    int
-	ChannelMgrFarm int
-	// Parallelism bounds concurrent sweep points in RunFlashSweep
-	// (0 = GOMAXPROCS, 1 = sequential).
-	Parallelism int
 }
+
+// flashFarm is the DRM side's backend count per manager farm.
+const flashFarm = 4
 
 func (c *FlashConfig) fill() {
 	if c.Viewers <= 0 {
@@ -50,12 +48,6 @@ func (c *FlashConfig) fill() {
 	}
 	if c.ServiceMS <= 0 {
 		c.ServiceMS = 10
-	}
-	if c.UserMgrFarm <= 0 {
-		c.UserMgrFarm = 4
-	}
-	if c.ChannelMgrFarm <= 0 {
-		c.ChannelMgrFarm = 4
 	}
 }
 
@@ -99,10 +91,10 @@ func RunFlashCrowd(cfg FlashConfig) (*FlashResult, error) {
 // RunFlashSweep reruns the comparison at growing viewer counts — the
 // series behind the paper's peak-load-provisioning argument: the central
 // server's tail latency grows with the crowd, the distributed design's
-// does not.
+// does not. Points run on GOMAXPROCS workers.
 func RunFlashSweep(cfg FlashConfig, viewerCounts []int) ([]FlashResult, error) {
 	cfg.fill()
-	return runPoints(len(viewerCounts), cfg.Parallelism, func(i int) (FlashResult, error) {
+	return runPoints(len(viewerCounts), 0, func(i int) (FlashResult, error) {
 		c := cfg
 		c.Viewers = viewerCounts[i]
 		res, err := RunFlashCrowd(c)
@@ -184,9 +176,9 @@ func runDRMFlash(cfg FlashConfig) (SideResult, error) {
 	// baseline's per-client license state rules out.
 	sys, err := core.NewSystem(core.Options{
 		Seed:           cfg.Seed,
-		UserMgrFarm:    cfg.UserMgrFarm,
+		UserMgrFarm:    flashFarm,
 		Partitions:     []string{"live"},
-		ChannelMgrFarm: cfg.ChannelMgrFarm,
+		ChannelMgrFarm: flashFarm,
 		UserMgrCapacity: core.CapacityModel{
 			Workers: cfg.Workers, ServiceTime: expService(cfg.Seed+3, cfg.ServiceMS),
 		},

@@ -33,19 +33,10 @@ type MegaConfig struct {
 	Duration time.Duration
 	// RenewEvery is the per-viewer license renewal period (default 5 min).
 	// Renewals are phase-jittered uniformly so load is flat, not bursty.
+	// Every renewal re-arms the silent-viewer eviction deadline at
+	// 2.5 × RenewEvery, cancelling the previous sentinel — the dominant
+	// Timer.Stop workload at scale.
 	RenewEvery time.Duration
-	// EvictAfter is the silent-viewer eviction deadline re-armed by every
-	// renewal (default 2.5 × RenewEvery). A renewal cancels the previous
-	// sentinel — the dominant Timer.Stop workload at scale.
-	EvictAfter time.Duration
-	// ChurnFrac is the per-renewal probability that the viewer departs
-	// silently; its sentinel then fires and a replacement joins with a
-	// fresh phase (default 0.02).
-	ChurnFrac float64
-	// RekeyInterval / PacketInterval drive the real overlay (defaults
-	// 1 min / 2 s).
-	RekeyInterval  time.Duration
-	PacketInterval time.Duration
 	// SampleEvery is the metrics cadence (default 1 min).
 	SampleEvery time.Duration
 	// MetricsCSV / MetricsJSONL, when set, receive the metric rows as a
@@ -53,14 +44,22 @@ type MegaConfig struct {
 	// nothing, keeping the heap bounded for arbitrarily long runs.
 	MetricsCSV   io.Writer
 	MetricsJSONL io.Writer
-	// Parallelism bounds concurrent sweep points (0 = GOMAXPROCS).
-	Parallelism int
 	// Shards is the number of worker lanes the virtual population
 	// stripes over (default 1). The real overlay stays on the control
 	// scheduler and every viewer draws from its own RNG stream, so the
 	// fingerprint is identical for any shard count.
 	Shards int
 }
+
+// The population's fixed behaviour and the real overlay's pacing.
+const (
+	// megaChurnFrac is the per-renewal probability that a viewer departs
+	// silently; its sentinel then fires and a replacement joins with a
+	// fresh phase.
+	megaChurnFrac      = 0.02
+	megaRekeyInterval  = time.Minute
+	megaPacketInterval = 2 * time.Second
+)
 
 func (c *MegaConfig) fill() {
 	if c.Shards <= 0 {
@@ -77,18 +76,6 @@ func (c *MegaConfig) fill() {
 	}
 	if c.RenewEvery <= 0 {
 		c.RenewEvery = 5 * time.Minute
-	}
-	if c.EvictAfter <= 0 {
-		c.EvictAfter = 2*c.RenewEvery + c.RenewEvery/2
-	}
-	if c.ChurnFrac <= 0 {
-		c.ChurnFrac = 0.02
-	}
-	if c.RekeyInterval <= 0 {
-		c.RekeyInterval = time.Minute
-	}
-	if c.PacketInterval <= 0 {
-		c.PacketInterval = 2 * time.Second
 	}
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = time.Minute
@@ -137,8 +124,8 @@ func RunMegaScale(cfg MegaConfig) (*MegaResult, error) {
 	sys, err := core.NewSystem(core.Options{
 		Scheduler:       eng.Ctrl(),
 		Seed:            cfg.Seed,
-		RekeyInterval:   cfg.RekeyInterval,
-		PacketInterval:  cfg.PacketInterval,
+		RekeyInterval:   megaRekeyInterval,
+		PacketInterval:  megaPacketInterval,
 		RootRegion:      100,
 		RootMaxChildren: 4, // deep tree: keys relay through viewers
 	})
@@ -182,7 +169,7 @@ func RunMegaScale(cfg MegaConfig) (*MegaResult, error) {
 	// control span.
 	eng.Run(start.Add(warm))
 
-	pops := newShardPops(eng, cfg.Viewers, cfg.Seed, cfg.RenewEvery, cfg.EvictAfter, cfg.ChurnFrac)
+	pops := newShardPops(eng, cfg.Viewers, cfg.Seed, cfg.RenewEvery, 2*cfg.RenewEvery+cfg.RenewEvery/2, megaChurnFrac)
 
 	res := &MegaResult{Viewers: cfg.Viewers, RealViewers: cfg.RealViewers}
 	sp := obs.NewSampler(cfg.SampleEvery)
@@ -228,20 +215,6 @@ func RunMegaScale(cfg MegaConfig) (*MegaResult, error) {
 		return nil, fmt.Errorf("megascale metrics sink: %w", err)
 	}
 	return res, nil
-}
-
-// RunMegaSweep measures several population sizes, spreading independent
-// points over cfg.Parallelism workers. Sweep points never share the
-// config's writers (interleaved rows would be useless), so streaming is
-// disabled for them.
-func RunMegaSweep(cfg MegaConfig, viewerCounts []int) ([]*MegaResult, error) {
-	cfg.fill()
-	cfg.MetricsCSV, cfg.MetricsJSONL = nil, nil
-	return runPoints(len(viewerCounts), cfg.Parallelism, func(i int) (*MegaResult, error) {
-		c := cfg
-		c.Viewers = viewerCounts[i]
-		return RunMegaScale(c)
-	})
 }
 
 // RenderMega prints the capacity study.

@@ -1,11 +1,11 @@
 package exp
 
-// This file wires internal/obs into the experiment harness: one shared
-// system sampler (endpoint + network sources), a cross-client call
-// aggregator, a per-phase endpoint recorder for the chaos scenarios,
-// and the CSV exporters behind `drmsim -metrics` and `make metrics`.
-// Everything here reads atomics on scheduled sim events and sorts its
-// output keys, so enabling it changes no golden fingerprint.
+// This file wires internal/obs into the experiment harness: the one
+// observer every observed scenario runs under (system sampler, phase
+// recorder, span ring, cross-client call aggregator) and the CSV
+// exporters behind `drmsim -metrics` and `make scenarios`. Everything
+// here reads atomics on scheduled sim events and sorts its output keys,
+// so enabling it changes no golden fingerprint.
 
 import (
 	"encoding/csv"
@@ -18,18 +18,74 @@ import (
 	"p2pdrm/internal/client"
 	"p2pdrm/internal/core"
 	"p2pdrm/internal/obs"
+	"p2pdrm/internal/simnet"
 	"p2pdrm/internal/svc"
 )
 
-// NewSystemSampler builds a sampler over the deployment-wide state:
-// per-endpoint cumulative requests/errors plus per-interval p50/p95
-// (from histogram snapshot deltas), and the network message counters.
-// Call its Run before driving the scheduler; scenario-specific sources
-// (client calls, concurrency) are added by the caller.
-func NewSystemSampler(sys *core.System, every time.Duration) *obs.Sampler {
-	sp := obs.NewSampler(every)
+// Observed is the measurement an observed scenario reports beside its
+// own outcome. Results embed it, so res.Calls, res.Trace and the rest
+// read as plain fields.
+type Observed struct {
+	// Net is the network's message counters with the drop breakdown
+	// (why messages died: severed links vs. loss draws).
+	Net simnet.NetStats
+	// Phases are the scenario timeline's endpoint deltas, one per
+	// boundary (none for the week, which has no timeline).
+	Phases []Phase
+	// Endpoints is the final server-side snapshot across the deployment.
+	Endpoints map[string]svc.Metrics
+	// Calls merges every client's per-service call stats (histograms
+	// included), departed clients too.
+	Calls map[string]svc.CallStats
+	// Trace is the span ring shared by every service runtime and every
+	// traced client (nil for an untraced run).
+	Trace *obs.Trace
+	// Series is the system time series.
+	Series *obs.Series
+}
+
+// observer is one run's measurement plumbing: the span ring armed on
+// the deployment, the clients' call aggregator, the phase recorder and
+// the system sampler. Spans, samples and phase snapshots perturb no
+// timing and draw no randomness, so an observed run is byte-identical
+// to an unobserved one.
+type observer struct {
+	sys     *core.System
+	trace   *obs.Trace
+	calls   *CallAggregator
+	phases  *PhaseRecorder
+	sampler *obs.Sampler
+}
+
+// observe builds the deployment with a ring of traceCap spans armed on
+// every service runtime; traceCap 0 allocates no ring.
+func observe(traceCap int, opts core.Options) (*core.System, *observer, error) {
+	o := &observer{calls: NewCallAggregator()}
+	if traceCap > 0 {
+		o.trace = obs.NewTrace(traceCap)
+	}
+	opts.Trace = o.trace
+	sys, err := core.NewSystem(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	o.sys = sys
+	return sys, o, nil
+}
+
+// start records a phase at each boundary and samples the system every
+// interval until end: per-endpoint cumulative requests/errors plus
+// per-interval p50/p95 (from histogram snapshot deltas), the network
+// message counters, then the scenario's own sources. Call it before
+// driving the scheduler.
+func (o *observer) start(every time.Duration, end time.Time, bounds []PhaseBoundary, sources ...obs.Source) {
+	if len(bounds) > 0 {
+		o.phases = RecordPhases(o.sys, bounds)
+	}
+	sys := o.sys
+	o.sampler = obs.NewSampler(every)
 	prev := make(map[string]*obs.HistSnapshot) // per-endpoint last snapshot
-	sp.AddSource(func(add func(string, float64)) {
+	o.sampler.AddSource(func(add func(string, float64)) {
 		for name, m := range sys.EndpointTotals() {
 			add("ep."+name+".req", float64(m.Requests))
 			add("ep."+name+".err", float64(m.Errors))
@@ -41,7 +97,7 @@ func NewSystemSampler(sys *core.System, every time.Duration) *obs.Sampler {
 			}
 		}
 	})
-	sp.AddSource(func(add func(string, float64)) {
+	o.sampler.AddSource(func(add func(string, float64)) {
 		st := sys.Net.Stats()
 		add("net.sent", float64(st.Sent))
 		add("net.delivered", float64(st.Delivered))
@@ -49,7 +105,46 @@ func NewSystemSampler(sys *core.System, every time.Duration) *obs.Sampler {
 		add("net.dropped_linkcut", float64(st.DroppedLinkCut))
 		add("net.dropped_loss", float64(st.DroppedLoss))
 	})
-	return sp
+	for _, src := range sources {
+		o.sampler.AddSource(src)
+	}
+	o.sampler.Run(sys.Sched, end)
+}
+
+// client builds a viewer (password "pw") whose call stats join Calls.
+// On a traced run its spans carry the trace identity of key; an empty
+// key keeps it dark (a session outside the head-sampled cohort).
+func (o *observer) client(email string, addr simnet.Addr, key string, mut func(*client.Config)) (*client.Client, error) {
+	c, err := o.sys.NewClient(email, "pw", addr, func(cc *client.Config) {
+		if key == "" {
+			cc.Trace = nil
+		} else if o.trace != nil {
+			cc.TraceID = obs.TraceIDFor(o.sys.Opts.Seed, key)
+		}
+		if mut != nil {
+			mut(cc)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	o.calls.Track(c)
+	return c, nil
+}
+
+// finish snapshots the measurement once the scheduler has stopped.
+func (o *observer) finish() Observed {
+	ob := Observed{
+		Net:       o.sys.Net.Stats(),
+		Endpoints: o.sys.EndpointTotals(),
+		Calls:     o.calls.Totals(),
+		Trace:     o.trace,
+		Series:    o.sampler.Series(),
+	}
+	if o.phases != nil {
+		ob.Phases = o.phases.Finish()
+	}
+	return ob
 }
 
 // CallAggregator accumulates per-service client-side CallStats across a
@@ -181,7 +276,8 @@ func RecordPhases(sys *core.System, bounds []PhaseBoundary) *PhaseRecorder {
 }
 
 // Finish closes the last phase at the current virtual time and returns
-// every phase's endpoint deltas (services with no traffic omitted).
+// every phase's endpoint deltas (services with no traffic, served or
+// shed, omitted).
 func (pr *PhaseRecorder) Finish() []Phase {
 	now := pr.sys.Sched.Now()
 	final := pr.sys.EndpointTotals()
@@ -196,7 +292,7 @@ func (pr *PhaseRecorder) Finish() []Phase {
 		eps := make(map[string]svc.Metrics)
 		for name, cur := range endSnap {
 			d := cur.Sub(pr.snaps[i][name])
-			if d.Requests != 0 || d.Errors != 0 {
+			if d.Requests != 0 || d.Errors != 0 || d.Shed != 0 {
 				eps[name] = d
 			}
 		}

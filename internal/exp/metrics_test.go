@@ -17,6 +17,7 @@ import (
 // measurement path (svc.Policy timing + log-bucket quantile vs. client
 // feedback log + exact nearest-rank), so agreement pins both.
 func TestWeekCallHistogramsMatchCorpusMedians(t *testing.T) {
+	t.Parallel()
 	res, err := RunWeek(goldenWeekCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -57,6 +58,7 @@ func TestWeekCallHistogramsMatchCorpusMedians(t *testing.T) {
 // counters are read, never the simulation itself. Two runs at wildly
 // different cadences must produce byte-identical corpus fingerprints.
 func TestWeekSamplerCadenceInvariant(t *testing.T) {
+	t.Parallel()
 	coarse := goldenWeekCfg
 	coarse.MetricsEvery = 6 * time.Hour
 	fine := goldenWeekCfg
@@ -82,6 +84,7 @@ func TestWeekSamplerCadenceInvariant(t *testing.T) {
 // sim clock: one row per MetricsEvery interval, monotonic timestamps,
 // and the endpoint request columns cumulative (non-decreasing).
 func TestWeekSeriesShape(t *testing.T) {
+	t.Parallel()
 	res, err := RunWeek(goldenWeekCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -108,6 +111,7 @@ func TestWeekSeriesShape(t *testing.T) {
 }
 
 func TestCSVWriters(t *testing.T) {
+	t.Parallel()
 	eps := map[string]svc.Metrics{
 		"um.login1": {Requests: 10, Errors: 1, Hist: histOf(ms(10), ms(20))},
 		"cm.join":   {Requests: 5, Hist: histOf(ms(5))},
@@ -155,6 +159,7 @@ func TestCSVWriters(t *testing.T) {
 // deployment: two boundaries, traffic only in the second window, so the
 // first phase's delta must be empty and the second must carry it all.
 func TestPhaseRecorderBoundaries(t *testing.T) {
+	t.Parallel()
 	res, err := RunFaultFlash(FaultFlashConfig{Seed: 5, Viewers: 20, Spread: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)

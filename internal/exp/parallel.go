@@ -7,8 +7,7 @@ import (
 )
 
 // Every sweep in this package is embarrassingly parallel: each point
-// (farm size, viewer count, re-key interval, churn fraction, replicate
-// seed) builds its own core.System with its own sim.Scheduler and seeded
+// (farm size, viewer count, re-key interval, replicate seed) builds its own core.System with its own sim.Scheduler and seeded
 // random streams, so points share no mutable state. runPoints fans the
 // points out over a bounded worker pool and assembles results in input
 // order, which keeps every sweep's output byte-identical to a sequential
@@ -73,15 +72,5 @@ func RunWeekReplicates(cfg WeekConfig, seeds []int64) ([]*WeekResult, error) {
 		c := cfg
 		c.Seed = seeds[i]
 		return RunWeek(c)
-	})
-}
-
-// RunChurnSweep reruns the churn study at each departure fraction across
-// cfg.Parallelism workers. Results are ordered like fractions.
-func RunChurnSweep(cfg ChurnConfig, fractions []float64) ([]*ChurnResult, error) {
-	return runPoints(len(fractions), cfg.Parallelism, func(i int) (*ChurnResult, error) {
-		c := cfg
-		c.ChurnFraction = fractions[i]
-		return RunChurn(c)
 	})
 }

@@ -14,6 +14,7 @@ import (
 // win is splitting upstream bandwidth, not churn recovery. The ablation
 // asserts both configurations recover and logs the comparison.
 func TestPDMAblation(t *testing.T) {
+	t.Parallel()
 	run := func(parents int) *ChurnResult {
 		res, err := RunChurn(ChurnConfig{
 			Seed:            9,

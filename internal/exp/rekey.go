@@ -20,9 +20,6 @@ type RekeyConfig struct {
 	Viewers   int
 	Watch     time.Duration
 	Intervals []time.Duration
-	// Parallelism bounds concurrent interval points (0 = GOMAXPROCS,
-	// 1 = sequential).
-	Parallelism int
 }
 
 func (c *RekeyConfig) fill() {
@@ -52,10 +49,10 @@ type RekeyPoint struct {
 }
 
 // RunRekeyAblation measures each interval under identical viewing load,
-// with independent points spread over cfg.Parallelism workers.
+// with independent points spread over GOMAXPROCS workers.
 func RunRekeyAblation(cfg RekeyConfig) ([]RekeyPoint, error) {
 	cfg.fill()
-	return runPoints(len(cfg.Intervals), cfg.Parallelism, func(i int) (RekeyPoint, error) {
+	return runPoints(len(cfg.Intervals), 0, func(i int) (RekeyPoint, error) {
 		return runRekeyPoint(cfg, cfg.Intervals[i])
 	})
 }

@@ -7,6 +7,7 @@ import (
 )
 
 func TestRekeyAblationScalesWithInterval(t *testing.T) {
+	t.Parallel()
 	pts, err := RunRekeyAblation(RekeyConfig{
 		Seed:      6,
 		Viewers:   15,

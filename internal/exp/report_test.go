@@ -58,6 +58,7 @@ func reportWeekFixture() *WeekResult {
 }
 
 func TestRenderFig5Golden(t *testing.T) {
+	t.Parallel()
 	got := RenderFig5(reportWeekFixture(), "Fig 5(a) login protocol", feedback.Login1)
 	const want = "Fig 5(a) login protocol — median latency vs. total concurrent users\n" +
 		"hour  hod       users  med(LOGIN1)\n" +
@@ -67,6 +68,7 @@ func TestRenderFig5Golden(t *testing.T) {
 }
 
 func TestRenderFig6Golden(t *testing.T) {
+	t.Parallel()
 	corpus := feedback.NewCorpus()
 	log := feedback.NewLog()
 	// Off-peak (hour 2): 150ms, 250ms. Peak (hour 19): 100, 200, 300ms.
@@ -89,6 +91,7 @@ func TestRenderFig6Golden(t *testing.T) {
 }
 
 func TestRenderFlashGolden(t *testing.T) {
+	t.Parallel()
 	res := &FlashResult{
 		Viewers: 200,
 		Trad: SideResult{
@@ -115,27 +118,30 @@ func TestRenderFlashGolden(t *testing.T) {
 }
 
 func TestRenderFaultFlashGolden(t *testing.T) {
+	t.Parallel()
 	res := &FaultFlashResult{
 		Viewers: 80, Watching: 80, Degraded: 12, Partitioned: 10,
 		Median: ms(400), P95: ms(2500), Max: ms(9000), AllWatchingIn: ms(30000),
 		TransportRetries: 41, BreakerOpens: 3, BreakerRejects: 17,
 		ProtocolRestarts: 2, SessionRetries: 1,
-		Net: simnet.NetStats{Sent: 4000, Delivered: 3870, Dropped: 130, DroppedLinkCut: 40, DroppedLoss: 90},
-		Calls: map[string]svc.CallStats{
-			"drm.login1": {Attempts: 90, Retries: 10, Failures: 2, BreakerRejects: 9, Hist: histOf(ms(140), ms(150), ms(600))},
-			"drm.login2": {Attempts: 81, Retries: 0, Failures: 1, BreakerRejects: 8, Hist: histOf(ms(145), ms(155))},
-		},
-		Phases: []Phase{
-			{
-				Name: "ramp", Start: reportStart, End: reportStart.Add(5 * time.Second),
-				Endpoints: map[string]svc.Metrics{
-					"um.login1": {Requests: 60, Errors: 0, Hist: histOf(ms(12), ms(15))},
-				},
+		Observed: Observed{
+			Net: simnet.NetStats{Sent: 4000, Delivered: 3870, Dropped: 130, DroppedLinkCut: 40, DroppedLoss: 90},
+			Calls: map[string]svc.CallStats{
+				"drm.login1": {Attempts: 90, Retries: 10, Failures: 2, BreakerRejects: 9, Hist: histOf(ms(140), ms(150), ms(600))},
+				"drm.login2": {Attempts: 81, Retries: 0, Failures: 1, BreakerRejects: 8, Hist: histOf(ms(145), ms(155))},
 			},
-			{
-				Name: "partition", Start: reportStart.Add(5 * time.Second), End: reportStart.Add(10 * time.Second),
-				Endpoints: map[string]svc.Metrics{
-					"um.login1": {Requests: 30, Errors: 4, Hist: histOf(ms(18))},
+			Phases: []Phase{
+				{
+					Name: "ramp", Start: reportStart, End: reportStart.Add(5 * time.Second),
+					Endpoints: map[string]svc.Metrics{
+						"um.login1": {Requests: 60, Errors: 0, Hist: histOf(ms(12), ms(15))},
+					},
+				},
+				{
+					Name: "partition", Start: reportStart.Add(5 * time.Second), End: reportStart.Add(10 * time.Second),
+					Endpoints: map[string]svc.Metrics{
+						"um.login1": {Requests: 30, Errors: 4, Hist: histOf(ms(18))},
+					},
 				},
 			},
 		},
@@ -161,6 +167,7 @@ func TestRenderFaultFlashGolden(t *testing.T) {
 }
 
 func TestRenderEndpointsGolden(t *testing.T) {
+	t.Parallel()
 	eps := map[string]svc.Metrics{
 		"um.login1": {Requests: 500, Errors: 2, Hist: histOf(ms(10), ms(12), ms(14), ms(100))},
 		"cm.join":   {Requests: 200, Errors: 0, Hist: histOf(ms(5), ms(6))},
@@ -175,6 +182,7 @@ func TestRenderEndpointsGolden(t *testing.T) {
 }
 
 func TestRenderCallTableGolden(t *testing.T) {
+	t.Parallel()
 	calls := map[string]svc.CallStats{
 		"drm.switch1": {Attempts: 320, Retries: 20, Failures: 3, BreakerRejects: 5, Hist: histOf(ms(150), ms(160), ms(900))},
 		"drm.join":    {Attempts: 290, Retries: 0, Failures: 0, BreakerRejects: 0, Hist: histOf(ms(50), ms(55))},
@@ -188,6 +196,7 @@ func TestRenderCallTableGolden(t *testing.T) {
 }
 
 func TestRenderPhasesEmpty(t *testing.T) {
+	t.Parallel()
 	if got := RenderPhases(nil); got != "  per-phase endpoint activity:\n" {
 		t.Errorf("empty phases rendered %q", got)
 	}

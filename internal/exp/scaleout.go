@@ -11,7 +11,6 @@ import (
 	"p2pdrm/internal/core"
 	"p2pdrm/internal/feedback"
 	"p2pdrm/internal/geo"
-	"p2pdrm/internal/obs"
 	"p2pdrm/internal/simnet"
 	"p2pdrm/internal/svc"
 	"p2pdrm/internal/workload"
@@ -30,44 +29,44 @@ type ScaleOutConfig struct {
 	// phase 3 to 10× (the growth the tentpole asks for). Default 40.
 	BaseViewers int
 	// PhaseLen is the phase-1 and phase-2 window; phase 3 runs twice as
-	// long (it carries 70% of the crowd). Default 40s.
+	// long (it carries 70% of the crowd). Default 40s. Phase 1's
+	// flash-crowd arrival spread is PhaseLen/4; later phases scale it
+	// with their length, so burst intensity grows with the arrival count
+	// the way a longer event ramp does.
 	PhaseLen time.Duration
-	// Spread is the phase-1 flash-crowd arrival spread; later phases
-	// scale it with their length, so burst intensity grows with the
-	// arrival count the way a longer event ramp does. Default
-	// PhaseLen/4.
-	Spread time.Duration
-	// Per-member capacity (an M/G/c queue per backend). Defaults 2
-	// workers, 80ms mean service.
-	Workers   int
-	ServiceMS float64
-	// UserMgrFarm is the starting member count. Default 2. Boundary 1
-	// adds 2 members, boundary 2 adds 3 — member count tracks arrival
-	// rate (2 → 4 → 7), which is what keeps per-member load flat.
-	UserMgrFarm int
-	// LoginHighWater arms load shedding on the login endpoints (0 uses
-	// the default 4; set negative to disable).
-	LoginHighWater int
-	// UserTicketLifetime is shortened (default 2m) so phase-1 viewers
-	// renew mid-run and exercise the stale-shard-map retry path after
-	// the reshards.
-	UserTicketLifetime time.Duration
-	// RPCTimeout is the per-attempt client deadline. Default 3s.
-	RPCTimeout time.Duration
-	// Deadline bounds the scenario: every viewer must be watching within
-	// Deadline of event start. Default 6m.
-	Deadline time.Duration
 
 	// FaultPartition overlaps the first handoff with a transient
-	// partition: PartitionShare of viewers lose their link to the first
-	// added member for PartitionFor, starting exactly at the boundary-1
-	// reshard. Accounts the new member took over are unreachable for
-	// those viewers until the heal — session retry must carry them to
-	// playback anyway. Defaults 0.30 and 15s.
+	// partition: 30% of viewers lose their link to the first added
+	// member for 15s, starting exactly at the boundary-1 reshard.
+	// Accounts the new member took over are unreachable for those
+	// viewers until the heal — session retry must carry them to
+	// playback anyway.
 	FaultPartition bool
-	PartitionShare float64
-	PartitionFor   time.Duration
 }
+
+// The elastic farm's fixed shape.
+const (
+	// Per-member capacity: an M/G/c queue of 2 workers at 80ms mean
+	// service per backend.
+	scaleWorkers   = 2
+	scaleServiceMS = 80
+	// scaleMembers is the starting member count. Boundary 1 adds 2
+	// members, boundary 2 adds 3 — member count tracks arrival rate
+	// (2 → 4 → 7), which is what keeps per-member load flat.
+	scaleMembers = 2
+	// scaleLoginHighWater arms load shedding on the login endpoints.
+	scaleLoginHighWater = 4
+	// scaleUserTicketLifetime is short so phase-1 viewers renew mid-run
+	// and exercise the stale-shard-map retry path after the reshards.
+	scaleUserTicketLifetime = 2 * time.Minute
+	// scaleRPCTimeout is the per-attempt client deadline; every viewer
+	// must be watching within scaleDeadline of event start.
+	scaleRPCTimeout = 3 * time.Second
+	scaleDeadline   = 6 * time.Minute
+	// FaultPartition's share of viewers and its length.
+	scalePartitionShare = 0.30
+	scalePartitionFor   = 15 * time.Second
+)
 
 func (c *ScaleOutConfig) fill() {
 	if c.BaseViewers <= 0 {
@@ -75,36 +74,6 @@ func (c *ScaleOutConfig) fill() {
 	}
 	if c.PhaseLen <= 0 {
 		c.PhaseLen = 40 * time.Second
-	}
-	if c.Spread <= 0 {
-		c.Spread = c.PhaseLen / 4
-	}
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
-	if c.ServiceMS <= 0 {
-		c.ServiceMS = 80
-	}
-	if c.UserMgrFarm <= 0 {
-		c.UserMgrFarm = 2
-	}
-	if c.LoginHighWater == 0 {
-		c.LoginHighWater = 4
-	}
-	if c.UserTicketLifetime <= 0 {
-		c.UserTicketLifetime = 2 * time.Minute
-	}
-	if c.RPCTimeout <= 0 {
-		c.RPCTimeout = 3 * time.Second
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 6 * time.Minute
-	}
-	if c.PartitionShare == 0 {
-		c.PartitionShare = 0.30
-	}
-	if c.PartitionFor <= 0 {
-		c.PartitionFor = 15 * time.Second
 	}
 }
 
@@ -149,15 +118,9 @@ type ScaleOutResult struct {
 	SessionRetries int64
 	AllWatchingIn  time.Duration
 	PhaseStats     []ScalePhase
-	Calls          map[string]svc.CallStats
 
-	Net simnet.NetStats
-	// Phases are the growth timeline's endpoint deltas (x1 → x3 → x10).
-	Phases []Phase
-	// Endpoints is the final server-side snapshot across the deployment.
-	Endpoints map[string]svc.Metrics
-	Trace     *obs.Trace
-	Series    *obs.Series
+	// Observed phases follow the growth timeline (x1 → x3 → x10).
+	Observed
 }
 
 // Fingerprint digests every counter and per-phase latency into one
@@ -207,35 +170,29 @@ func (r *ScaleOutResult) P95Spread() float64 {
 // RunScaleOut runs the elastic-farm flash-crowd sweep.
 func RunScaleOut(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 	cfg.fill()
-	highWater := cfg.LoginHighWater
-	if highWater < 0 {
-		highWater = 0
-	}
-	// Shared span ring, armed on every runtime (including members added
-	// mid-run by the resharding schedule) and every client. Traced logins
-	// that land on a stale shard map or a shedding member leave
-	// wrong_shard restart and shed spans threaded into their journeys.
-	trace := obs.NewTrace(8192)
-	sys, err := core.NewSystem(core.Options{
-		Trace:       trace,
+	// The span ring is armed on every runtime, including members added
+	// mid-run by the resharding schedule. Traced logins that land on a
+	// stale shard map or a shedding member leave wrong_shard restart and
+	// shed spans threaded into their journeys.
+	sys, ob, err := observe(8192, core.Options{
 		Seed:        cfg.Seed,
-		UserMgrFarm: cfg.UserMgrFarm,
+		UserMgrFarm: scaleMembers,
 		Partitions:  []string{"live"},
 		UserMgrShard: core.ShardOptions{
 			Enabled:        true,
-			LoginHighWater: highWater,
+			LoginHighWater: scaleLoginHighWater,
 		},
 		UserMgrCapacity: core.CapacityModel{
-			Workers: cfg.Workers, ServiceTime: expService(cfg.Seed+3, cfg.ServiceMS),
+			Workers: scaleWorkers, ServiceTime: expService(cfg.Seed+3, scaleServiceMS),
 		},
-		UserTicketLifetime: cfg.UserTicketLifetime,
+		UserTicketLifetime: scaleUserTicketLifetime,
 		PacketInterval:     24 * 365 * time.Hour, // protocol-only, as in RunWeek
 	})
 	if err != nil {
 		return nil, err
 	}
 	start := sys.Sched.Now()
-	deadline := start.Add(cfg.Deadline)
+	deadline := start.Add(scaleDeadline)
 	if err := sys.DeployChannel(core.FreeToView("live-event", "Live Event", "100")); err != nil {
 		return nil, err
 	}
@@ -254,9 +211,9 @@ func RunScaleOut(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 	}
 	base := cfg.BaseViewers
 	plans := []phasePlan{
-		{name: "x1", arrivals: base, start: start, length: cfg.PhaseLen, adds: 0, members: cfg.UserMgrFarm},
-		{name: "x3", arrivals: 2 * base, start: start.Add(cfg.PhaseLen), length: cfg.PhaseLen, adds: 2, members: cfg.UserMgrFarm + 2},
-		{name: "x10", arrivals: 7 * base, start: start.Add(2 * cfg.PhaseLen), length: 2 * cfg.PhaseLen, adds: 3, members: cfg.UserMgrFarm + 5},
+		{name: "x1", arrivals: base, start: start, length: cfg.PhaseLen, adds: 0, members: scaleMembers},
+		{name: "x3", arrivals: 2 * base, start: start.Add(cfg.PhaseLen), length: cfg.PhaseLen, adds: 2, members: scaleMembers + 2},
+		{name: "x10", arrivals: 7 * base, start: start.Add(2 * cfg.PhaseLen), length: 2 * cfg.PhaseLen, adds: 3, members: scaleMembers + 5},
 	}
 	viewers := 0
 	for _, p := range plans {
@@ -272,7 +229,7 @@ func RunScaleOut(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 	offsets := make([]time.Duration, 0, viewers)
 	phaseOf := make([]int, 0, viewers)
 	for pi, p := range plans {
-		spread := cfg.Spread * time.Duration(p.length/cfg.PhaseLen)
+		spread := cfg.PhaseLen / 4 * time.Duration(p.length/cfg.PhaseLen)
 		for _, off := range workload.FlashCrowd(rng, p.arrivals, spread) {
 			offsets = append(offsets, p.start.Sub(start)+off)
 			phaseOf = append(phaseOf, pi)
@@ -306,35 +263,23 @@ func RunScaleOut(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 	// cannot reach; the session loop has to carry them across the heal.
 	var partitioned []int
 	if cfg.FaultPartition {
-		partitioned = workload.PickSubset(rng, viewers, int(float64(viewers)*cfg.PartitionShare))
+		partitioned = workload.PickSubset(rng, viewers, int(float64(viewers)*scalePartitionShare))
 		var partAddrs []simnet.Addr
 		for _, i := range partitioned {
 			partAddrs = append(partAddrs, addrs[i])
 		}
-		firstAdded := simnet.Addr(fmt.Sprintf("um%d.provider", cfg.UserMgrFarm+1))
-		sys.Net.SchedulePartition(partAddrs, []simnet.Addr{firstAdded}, plans[1].start, cfg.PartitionFor)
+		firstAdded := simnet.Addr(fmt.Sprintf("um%d.provider", scaleMembers+1))
+		sys.Net.SchedulePartition(partAddrs, []simnet.Addr{firstAdded}, plans[1].start, scalePartitionFor)
 	}
 
-	// Observability: per-phase endpoint recorder on the growth timeline,
-	// shed-counter snapshots at the same boundaries, and the 5-second
-	// system sampler.
+	// Observability: phases on the growth timeline (their endpoint
+	// deltas carry each phase's shed count) and the 5-second system
+	// sampler.
 	bounds := make([]PhaseBoundary, len(plans))
 	for i, p := range plans {
 		bounds[i] = PhaseBoundary{Name: p.name, At: p.start}
 	}
-	phases := RecordPhases(sys, bounds)
-	shedAt := make([]int64, len(plans))
-	for i, p := range plans {
-		i := i
-		capture := func() { shedAt[i] = totalShed(sys) }
-		if !p.start.After(sys.Sched.Now()) {
-			capture()
-		} else {
-			sys.Sched.At(p.start, capture)
-		}
-	}
-	sampler := NewSystemSampler(sys, 5*time.Second)
-	sampler.Run(sys.Sched, deadline)
+	ob.start(5*time.Second, deadline, bounds)
 
 	var mu sync.Mutex
 	loginLats := make([][]time.Duration, len(plans))
@@ -346,13 +291,11 @@ func RunScaleOut(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 	for i := 0; i < viewers; i++ {
 		i := i
 		email := fmt.Sprintf("v%05d@e", i)
-		c, err := sys.NewClient(email, "pw", addrs[i], func(cc *client.Config) {
-			cc.RPCTimeout = cfg.RPCTimeout
+		c, err := ob.client(email, addrs[i], email, func(cc *client.Config) {
+			cc.RPCTimeout = scaleRPCTimeout
 			cc.RPCAttempts = 3
 			cc.BreakerThreshold = 3
 			cc.BreakerCooldown = 4 * time.Second
-			cc.Trace = trace
-			cc.TraceID = obs.TraceIDFor(cfg.Seed, email)
 		})
 		if err != nil {
 			return nil, err
@@ -407,7 +350,7 @@ func RunScaleOut(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 		Viewers:        viewers,
 		Watching:       watching,
 		FailedLogins:   viewers - loggedIn,
-		MembersStart:   cfg.UserMgrFarm,
+		MembersStart:   scaleMembers,
 		MembersEnd:     farm.Members,
 		Epoch:          farm.Epoch,
 		Handoffs:       farm.Handoffs,
@@ -415,17 +358,13 @@ func RunScaleOut(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 		Partitioned:    len(partitioned),
 		AllWatchingIn:  lastDone,
 		SessionRetries: sessionRetries,
-		Calls:          make(map[string]svc.CallStats),
+		Observed:       ob.finish(),
 	}
 	for _, c := range clients {
-		st := c.Stats()
-		res.ShardRetries += st.ShardRetries
-		for name, cs := range c.Policy().Stats() {
-			t := res.Calls[name]
-			t.Merge(cs)
-			res.Calls[name] = t
-			res.Overloads += cs.Overloads
-		}
+		res.ShardRetries += c.Stats().ShardRetries
+	}
+	for _, cs := range res.Calls {
+		res.Overloads += cs.Overloads
 	}
 	for _, m := range sys.UserMgrs {
 		st := m.Stats()
@@ -433,13 +372,7 @@ func RunScaleOut(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 		res.RateLimited += st.RateLimited
 		res.LockedOut += st.LockedOut
 	}
-	res.Net = sys.Net.Stats()
-	res.Phases = phases.Finish()
-	res.Endpoints = sys.EndpointTotals()
-	res.Shed = totalShed(sys)
-	res.Trace = trace
-	res.Series = sampler.Series()
-	finalShed := append(shedAt[1:], res.Shed)
+	res.Shed = totalShed(res.Endpoints)
 	total := 0
 	for pi, p := range plans {
 		lats := loginLats[pi]
@@ -452,18 +385,18 @@ func RunScaleOut(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 			Watching: phaseWatch[pi],
 			LoginP50: feedback.Median(lats),
 			LoginP95: feedback.Quantile(lats, 0.95),
-			Shed:     finalShed[pi] - shedAt[pi],
+			Shed:     totalShed(res.Phases[pi].Endpoints),
 		})
 	}
 	return res, nil
 }
 
-// totalShed sums the shed counter across every endpoint in the
-// deployment (only the login endpoints arm shedding, but the sum is
-// deployment-wide so it needs no service-name knowledge).
-func totalShed(sys *core.System) int64 {
+// totalShed sums the shed counter across an endpoint snapshot (only the
+// login endpoints arm shedding, but the sum is deployment-wide so it
+// needs no service-name knowledge).
+func totalShed(eps map[string]svc.Metrics) int64 {
 	var total int64
-	for _, m := range sys.EndpointTotals() {
+	for _, m := range eps {
 		total += m.Shed
 	}
 	return total

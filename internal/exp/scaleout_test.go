@@ -12,6 +12,7 @@ import (
 // and the shed/handoff machinery shows real activity rather than having
 // been dodged.
 func TestScaleOutFlatP95(t *testing.T) {
+	t.Parallel()
 	res, err := RunScaleOut(ScaleOutConfig{Seed: 21})
 	if err != nil {
 		t.Fatal(err)
@@ -58,6 +59,7 @@ func TestScaleOutFlatP95(t *testing.T) {
 const goldenScaleOut = "v=400 w=400 failed=0 members=2-7 epoch=7 hand=7 moved=86 part=0 shed=1 over=1 sretry=62 wrong=62 rate=0 lock=0 sess=0 all=116085740 sent=25243 drop=0 x1=40/40/713006/941210/0 x3=80/80/710197/960574/0 x10=280/280/701940/1050054/1 drm.chanlist=400/0/0/0 drm.login1=1782/1/0/1 drm.login2=1719/0/0/0 drm.redirect=462/0/0/0 drm.switch1=1719/0/0/0 drm.switch2=1719/0/0/0"
 
 func TestScaleOutDeterminismGolden(t *testing.T) {
+	t.Parallel()
 	res, err := RunScaleOut(ScaleOutConfig{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
@@ -74,6 +76,7 @@ func TestScaleOutDeterminismGolden(t *testing.T) {
 // backoff jitter, handoff timing, shed admission races and all — must be
 // byte-deterministic for a fixed seed, and the seed must matter.
 func TestScaleOutDeterministicForFixedSeed(t *testing.T) {
+	t.Parallel()
 	cfg := ScaleOutConfig{Seed: 9, BaseViewers: 12, PhaseLen: 30 * time.Second}
 	a, err := RunScaleOut(cfg)
 	if err != nil {
@@ -102,6 +105,7 @@ func TestScaleOutDeterministicForFixedSeed(t *testing.T) {
 // go there. Session retry must still carry every viewer to playback with
 // zero failed logins.
 func TestScaleOutReshardChaos(t *testing.T) {
+	t.Parallel()
 	res, err := RunScaleOut(ScaleOutConfig{Seed: 33, FaultPartition: true})
 	if err != nil {
 		t.Fatal(err)

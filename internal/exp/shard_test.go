@@ -18,6 +18,7 @@ const goldenMegaSharded = "viewers=20000 real=12 renewals=100582 churned=1996 ev
 // 8} and requires the fingerprint to match the pinned golden and the
 // streamed CSV to be byte-identical across all shard counts.
 func TestMegaScaleShardGolden(t *testing.T) {
+	t.Parallel()
 	var baseCSV []byte
 	for _, shards := range []int{0, 1, 2, 8} {
 		cfg := goldenMegaCfg
@@ -53,6 +54,7 @@ func TestMegaScaleShardGolden(t *testing.T) {
 // rows (no sinks) and one that streams them to produce the same
 // fingerprint: exports must observe the simulation, never perturb it.
 func TestMegaShardedStreamsMatchRetained(t *testing.T) {
+	t.Parallel()
 	cfg := goldenMegaCfg
 	cfg.Shards = 2
 	plain, err := RunMegaScale(cfg)
@@ -95,6 +97,7 @@ func weekShardFingerprint(r *WeekResult) string {
 // must equal the lane-free week golden too: the lanes may not perturb
 // the control phase.
 func TestWeekShardGolden(t *testing.T) {
+	t.Parallel()
 	var baseCSV []byte
 	for _, shards := range []int{0, 1, 2, 8} {
 		cfg := goldenWeekCfg

@@ -14,7 +14,6 @@ import (
 	"p2pdrm/internal/core"
 	"p2pdrm/internal/geo"
 	"p2pdrm/internal/keys"
-	"p2pdrm/internal/obs"
 	"p2pdrm/internal/simnet"
 	"p2pdrm/internal/svc"
 	"p2pdrm/internal/wire"
@@ -35,63 +34,38 @@ type TimeShiftConfig struct {
 	Seed int64
 	// Viewers is the audience size. Default 16.
 	Viewers int
-	// LapsedShare of viewers hold a purchase ending at LapseAfter instead
-	// of covering the whole event. Default 0.25.
-	LapsedShare float64
-	// LivePhase / SeekPhase are the phase lengths: live viewing, then
-	// uniform seeks, then Zipf seeks. Defaults 3m / 3m.
-	LivePhase time.Duration
-	SeekPhase time.Duration
-	// LapseAfter ends the lapsed viewers' purchase window. Default
-	// LivePhase + SeekPhase/2 (mid seek-uniform).
-	LapseAfter time.Duration
-	// RekeyInterval rotates content keys. Default 30s (short, so seeks
-	// cross many key iterations).
-	RekeyInterval time.Duration
-	// HistoryFrames is the root's retained-frame window. Default 600.
-	HistoryFrames int
-	// SeekEvery paces each viewer's seek loop. Default 15s.
-	SeekEvery time.Duration
 
-	// FaultPartition severs PartitionShare of viewers from the root for
-	// PartitionFor, starting at the seek-uniform boundary: their seeks
-	// and live feed fail until the heal and must recover. Defaults 0.25
-	// and 20s.
+	// FaultPartition severs 25% of viewers from the root for 20s,
+	// starting at the seek-uniform boundary: their seeks and live feed
+	// fail until the heal and must recover.
 	FaultPartition bool
-	PartitionShare float64
-	PartitionFor   time.Duration
 }
+
+// The time-shift event's fixed shape.
+const (
+	// tsLapsedShare of viewers hold a purchase ending at tsLapseAfter
+	// (mid seek-uniform) instead of covering the whole event.
+	tsLapsedShare = 0.25
+	// tsLivePhase / tsSeekPhase are the phase lengths: live viewing,
+	// then uniform seeks, then Zipf seeks.
+	tsLivePhase  = 3 * time.Minute
+	tsSeekPhase  = 3 * time.Minute
+	tsLapseAfter = tsLivePhase + tsSeekPhase/2
+	// tsRekeyInterval rotates content keys (short, so seeks cross many
+	// key iterations).
+	tsRekeyInterval = 30 * time.Second
+	// tsHistoryFrames is the root's retained-frame window.
+	tsHistoryFrames = 600
+	// tsSeekEvery paces each viewer's seek loop.
+	tsSeekEvery = 15 * time.Second
+	// FaultPartition's share of viewers and its length.
+	tsPartitionShare = 0.25
+	tsPartitionFor   = 20 * time.Second
+)
 
 func (c *TimeShiftConfig) fill() {
 	if c.Viewers <= 0 {
 		c.Viewers = 16
-	}
-	if c.LapsedShare <= 0 {
-		c.LapsedShare = 0.25
-	}
-	if c.LivePhase <= 0 {
-		c.LivePhase = 3 * time.Minute
-	}
-	if c.SeekPhase <= 0 {
-		c.SeekPhase = 3 * time.Minute
-	}
-	if c.LapseAfter <= 0 {
-		c.LapseAfter = c.LivePhase + c.SeekPhase/2
-	}
-	if c.RekeyInterval <= 0 {
-		c.RekeyInterval = 30 * time.Second
-	}
-	if c.HistoryFrames <= 0 {
-		c.HistoryFrames = 600
-	}
-	if c.SeekEvery <= 0 {
-		c.SeekEvery = 15 * time.Second
-	}
-	if c.PartitionShare == 0 {
-		c.PartitionShare = 0.25
-	}
-	if c.PartitionFor <= 0 {
-		c.PartitionFor = 20 * time.Second
 	}
 }
 
@@ -125,12 +99,8 @@ type TimeShiftResult struct {
 	Ring    keys.RingStats // aggregated over all viewers' rings
 	Conform *conform.Report
 
-	Net       simnet.NetStats
-	Phases    []Phase
-	Endpoints map[string]svc.Metrics
-	Calls     map[string]svc.CallStats
-	Trace     *obs.Trace
-	Series    *obs.Series
+	// Observed phases: live → seek-uniform → seek-zipf.
+	Observed
 }
 
 // Fingerprint digests every counter into one line; two runs with the
@@ -174,14 +144,14 @@ func RunTimeShift(cfg TimeShiftConfig) (*TimeShiftResult, error) {
 	// delivery round, and only then is severed (§IV-D).
 	oracle := conform.New(conform.Config{Grace: 12 * time.Second, MaxViolations: 64})
 	var sys *core.System
-	sys, err := core.NewSystem(core.Options{
+	sys, ob, err := observe(8192, core.Options{
 		Seed:            cfg.Seed,
 		Partitions:      []string{"live"},
-		RekeyInterval:   cfg.RekeyInterval,
+		RekeyInterval:   tsRekeyInterval,
 		PacketInterval:  time.Second,
 		RootRegion:      100,
 		RootMaxChildren: 2 * cfg.Viewers, // every viewer can sit at the root
-		HistoryWindow:   cfg.HistoryFrames,
+		HistoryWindow:   tsHistoryFrames,
 		OnRekey: func(_ string, serial keys.Serial) {
 			oracle.RecordRekey(serial, sys.Sched.Now())
 		},
@@ -190,8 +160,8 @@ func RunTimeShift(cfg TimeShiftConfig) (*TimeShiftResult, error) {
 		return nil, err
 	}
 	start := sys.Sched.Now()
-	lapseEnd := start.Add(cfg.LapseAfter)
-	deadline := start.Add(cfg.LivePhase + 2*cfg.SeekPhase)
+	lapseEnd := start.Add(tsLapseAfter)
+	deadline := start.Add(tsLivePhase + 2*tsSeekPhase)
 	eventEnd := deadline.Add(10 * time.Minute)
 
 	if err := sys.DeployChannel(core.PPVChannel("ppv", "PPV Event", "evt", start, eventEnd, "100")); err != nil {
@@ -199,7 +169,7 @@ func RunTimeShift(cfg TimeShiftConfig) (*TimeShiftResult, error) {
 	}
 	rootAddr := sys.Servers["ppv"].Addr()
 
-	lapsed := int(float64(cfg.Viewers) * cfg.LapsedShare)
+	lapsed := int(float64(cfg.Viewers) * tsLapsedShare)
 	names := make([]string, cfg.Viewers)
 	for i := 0; i < cfg.Viewers; i++ {
 		names[i] = fmt.Sprintf("ts%03d@e", i)
@@ -228,23 +198,19 @@ func RunTimeShift(cfg TimeShiftConfig) (*TimeShiftResult, error) {
 	// the transport until the heal; session recovery must carry them.
 	var partitioned []int
 	if cfg.FaultPartition {
-		partitioned = workload.PickSubset(rng, cfg.Viewers, int(float64(cfg.Viewers)*cfg.PartitionShare))
+		partitioned = workload.PickSubset(rng, cfg.Viewers, int(float64(cfg.Viewers)*tsPartitionShare))
 		var partAddrs []simnet.Addr
 		for _, i := range partitioned {
 			partAddrs = append(partAddrs, addrs[i])
 		}
-		sys.Net.SchedulePartition(partAddrs, []simnet.Addr{rootAddr}, start.Add(cfg.LivePhase), cfg.PartitionFor)
+		sys.Net.SchedulePartition(partAddrs, []simnet.Addr{rootAddr}, start.Add(tsLivePhase), tsPartitionFor)
 	}
 
-	trace := obs.NewTrace(8192)
-	bounds := []PhaseBoundary{
+	ob.start(5*time.Second, deadline, []PhaseBoundary{
 		{Name: "live", At: start},
-		{Name: "seek-uniform", At: start.Add(cfg.LivePhase)},
-		{Name: "seek-zipf", At: start.Add(cfg.LivePhase + cfg.SeekPhase)},
-	}
-	phases := RecordPhases(sys, bounds)
-	sampler := NewSystemSampler(sys, 5*time.Second)
-	sampler.Run(sys.Sched, deadline)
+		{Name: "seek-uniform", At: start.Add(tsLivePhase)},
+		{Name: "seek-zipf", At: start.Add(tsLivePhase + tsSeekPhase)},
+	})
 
 	var mu sync.Mutex
 	var frames int64
@@ -254,7 +220,6 @@ func RunTimeShift(cfg TimeShiftConfig) (*TimeShiftResult, error) {
 		Lapsed:      lapsed,
 		Partitioned: len(partitioned),
 		SeekRejects: make(map[string]int64),
-		Calls:       make(map[string]svc.CallStats),
 	}
 	buckets := make(map[int]*SeekDepthBucket)
 
@@ -263,8 +228,7 @@ func RunTimeShift(cfg TimeShiftConfig) (*TimeShiftResult, error) {
 	for i := 0; i < cfg.Viewers; i++ {
 		i := i
 		name := names[i]
-		c, err := sys.NewClient(name, "pw", addrs[i], func(cc *client.Config) {
-			cc.Trace = trace
+		c, err := ob.client(name, addrs[i], name, func(cc *client.Config) {
 			cc.OnFrame = func(seq uint64, _ []byte) {
 				mu.Lock()
 				frames++
@@ -324,8 +288,8 @@ func RunTimeShift(cfg TimeShiftConfig) (*TimeShiftResult, error) {
 		sys.Sched.Go(func() {
 			srng := rand.New(rand.NewSource(cfg.Seed + 1000 + int64(i)))
 			zipf := rand.NewZipf(srng, 1.3, 8, totalFrames)
-			sys.Sched.Sleep(cfg.LivePhase + time.Duration(i)*time.Second)
-			zipfAt := start.Add(cfg.LivePhase + cfg.SeekPhase)
+			sys.Sched.Sleep(tsLivePhase + time.Duration(i)*time.Second)
+			zipfAt := start.Add(tsLivePhase + tsSeekPhase)
 			for sys.Sched.Now().Before(deadline) {
 				mu.Lock()
 				head := lastSeq[i]
@@ -341,9 +305,9 @@ func RunTimeShift(cfg TimeShiftConfig) (*TimeShiftResult, error) {
 						}
 						target = head - depth
 					}
-					runSeek(sys, oracle, res, buckets, &mu, c, cfg, name, rootAddr, head, target)
+					runSeek(sys, oracle, res, buckets, &mu, c, name, rootAddr, head, target)
 				}
-				sys.Sched.Sleep(cfg.SeekEvery + time.Duration(srng.Int63n(int64(5*time.Second))))
+				sys.Sched.Sleep(tsSeekEvery + time.Duration(srng.Int63n(int64(5*time.Second))))
 			}
 		})
 	}
@@ -387,11 +351,6 @@ func RunTimeShift(cfg TimeShiftConfig) (*TimeShiftResult, error) {
 				res.Ring.DeepestMiss = rs.DeepestMiss
 			}
 		}
-		for name, cs := range c.Policy().Stats() {
-			t := res.Calls[name]
-			t.Merge(cs)
-			res.Calls[name] = t
-		}
 	}
 	for d, bk := range buckets {
 		_ = d
@@ -399,11 +358,7 @@ func RunTimeShift(cfg TimeShiftConfig) (*TimeShiftResult, error) {
 	}
 	sort.Slice(res.Buckets, func(i, j int) bool { return res.Buckets[i].Intervals < res.Buckets[j].Intervals })
 	res.Conform = oracle.Finish()
-	res.Net = sys.Net.Stats()
-	res.Phases = phases.Finish()
-	res.Endpoints = sys.EndpointTotals()
-	res.Trace = trace
-	res.Series = sampler.Series()
+	res.Observed = ob.finish()
 	return res, nil
 }
 
@@ -411,7 +366,7 @@ func RunTimeShift(cfg TimeShiftConfig) (*TimeShiftResult, error) {
 // returned frame with the viewer's own ring.
 func runSeek(sys *core.System, oracle *conform.Oracle, res *TimeShiftResult,
 	buckets map[int]*SeekDepthBucket, mu *sync.Mutex, c *client.Client,
-	cfg TimeShiftConfig, name string, root simnet.Addr, head, target uint64) {
+	name string, root simnet.Addr, head, target uint64) {
 	mu.Lock()
 	res.SeekCalls++
 	mu.Unlock()
@@ -453,7 +408,7 @@ func runSeek(sys *core.System, oracle *conform.Oracle, res *TimeShiftResult,
 		oracle.RecordSeekDecrypt(name, serial, f.Seq, now, ok)
 		depth := 0
 		if head > f.Seq {
-			depth = int(time.Duration(head-f.Seq) * time.Second / cfg.RekeyInterval)
+			depth = int(time.Duration(head-f.Seq) * time.Second / tsRekeyInterval)
 		}
 		mu.Lock()
 		res.SeekFrames++

@@ -14,6 +14,7 @@ import (
 // exercised (deep seeks refused by the viewer's own ring, lapsed tickets
 // refused with typed codes).
 func TestTimeShiftConformance(t *testing.T) {
+	t.Parallel()
 	res, err := RunTimeShift(TimeShiftConfig{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -57,6 +58,7 @@ func TestTimeShiftConformance(t *testing.T) {
 const goldenTimeShift = "v=16 lapsed=4 frames=7508 seeks=330 sframes=9484 serr=53 deny=4 part=0 rej.expired_ticket=10 d0=1771/1771/0 d1=1172/1172/0 d2=840/837/3 d3=984/312/672 d4=1187/0/1187 d5=859/0/859 d6=751/0/751 d7=512/0/512 d8=442/0/442 d9=267/0/267 d10=187/0/187 d11=198/0/198 d12=180/0/180 d13=113/0/113 d14=21/0/21 ring=11445/3813/3813/0 conform[decrypts=16992 ok=11600 falseGrant=0 falseDeny=0 windowBreach=0 ticketOverrun=0 graceGrant=40 windowDeny=5392] sent=9348 drop=0 drm.chanlist=16/0/0/0 drm.login1=40/0/0/0 drm.login2=40/0/0/0 drm.redirect=40/0/0/0 drm.switch1=65/0/0/0 drm.switch2=65/0/0/0"
 
 func TestTimeShiftDeterminismGolden(t *testing.T) {
+	t.Parallel()
 	res, err := RunTimeShift(TimeShiftConfig{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
@@ -73,6 +75,7 @@ func TestTimeShiftDeterminismGolden(t *testing.T) {
 // timing, partition-free arrival jitter and the conformance verdict must
 // be byte-deterministic for a fixed seed, and the seed must matter.
 func TestTimeShiftDeterministicForFixedSeed(t *testing.T) {
+	t.Parallel()
 	cfg := TimeShiftConfig{Seed: 9, Viewers: 8}
 	a, err := RunTimeShift(cfg)
 	if err != nil {
@@ -101,6 +104,7 @@ func TestTimeShiftDeterministicForFixedSeed(t *testing.T) {
 // conformance verdict must stay clean — a partition may deny service but
 // never corrupt rights enforcement.
 func TestTimeShiftPartitionChaos(t *testing.T) {
+	t.Parallel()
 	res, err := RunTimeShift(TimeShiftConfig{Seed: 33, FaultPartition: true})
 	if err != nil {
 		t.Fatal(err)

@@ -18,6 +18,7 @@ import (
 // export — trace_event JSON, waterfalls, critical-path CSV — must be
 // byte-identical at shards ∈ {1, 2, 8}.
 func TestWeekTraceShardInvariant(t *testing.T) {
+	t.Parallel()
 	var baseEvents, baseFalls, baseCSV []byte
 	for _, shards := range []int{1, 2, 8} {
 		cfg := goldenWeekCfg
@@ -66,6 +67,7 @@ func TestWeekTraceShardInvariant(t *testing.T) {
 // TestWeekUntracedAllocatesNoRing: TraceEvery == 0 must mean no ring at
 // all, not an empty one — the zero-cost-off contract.
 func TestWeekUntracedAllocatesNoRing(t *testing.T) {
+	t.Parallel()
 	res, err := RunWeek(goldenWeekCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -81,6 +83,7 @@ func TestWeekUntracedAllocatesNoRing(t *testing.T) {
 // around c.Login() — the breakdown explains all of the time, not most
 // of it.
 func TestTracedLoginStageSumMatchesLatency(t *testing.T) {
+	t.Parallel()
 	trace := obs.NewTrace(1024)
 	sys, err := core.NewSystem(core.Options{Seed: 5, Trace: trace})
 	if err != nil {
@@ -147,6 +150,7 @@ func TestTracedLoginStageSumMatchesLatency(t *testing.T) {
 // spans in the ring, the ring's overflow is real and surfaced through
 // the JSONL footer, and traced journeys assembled into trees.
 func TestScaleOutTraceSpans(t *testing.T) {
+	t.Parallel()
 	res, err := RunScaleOut(ScaleOutConfig{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
@@ -185,5 +189,63 @@ func TestScaleOutTraceSpans(t *testing.T) {
 	breakdown := RenderJourneyBreakdown(res.Trace)
 	if !strings.Contains(breakdown, "dropped by the ring") {
 		t.Error("journey breakdown does not surface the drop count")
+	}
+}
+
+// TestObservedScenarioTracesAssembleJourneys pins the shared harness's
+// tracing contract on every scenario it observes: the ring is armed on
+// the service runtimes (server spans) and on every client under a trace
+// identity (journey roots), so drmsim -trace has journeys to assemble
+// for each of them.
+func TestObservedScenarioTracesAssembleJourneys(t *testing.T) {
+	t.Parallel()
+	runs := []struct {
+		name string
+		run  func() (*obs.Trace, error)
+	}{
+		{"faults", func() (*obs.Trace, error) {
+			res, err := RunFaultFlash(FaultFlashConfig{Seed: 1, Viewers: 20, Spread: 10 * time.Second})
+			if err != nil {
+				return nil, err
+			}
+			return res.Trace, nil
+		}},
+		{"timeshift", func() (*obs.Trace, error) {
+			res, err := RunTimeShift(TimeShiftConfig{Seed: 1})
+			if err != nil {
+				return nil, err
+			}
+			return res.Trace, nil
+		}},
+		{"adversary", func() (*obs.Trace, error) {
+			res, err := RunAdversary(AdversaryConfig{Seed: 1})
+			if err != nil {
+				return nil, err
+			}
+			return res.Trace, nil
+		}},
+	}
+	for _, r := range runs {
+		r := r
+		t.Run(r.name, func(t *testing.T) {
+			t.Parallel()
+			trace, err := r.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			kinds := map[string]int{}
+			for _, sp := range trace.Spans() {
+				kinds[sp.Kind]++
+			}
+			if kinds[obs.KindServer] == 0 {
+				t.Errorf("no %s spans: the ring is not armed on the service runtimes (kinds %v)", obs.KindServer, kinds)
+			}
+			if kinds[obs.KindJourney] == 0 {
+				t.Errorf("no %s spans: clients carry no trace identity (kinds %v)", obs.KindJourney, kinds)
+			}
+			if len(obs.CriticalPaths(trace.Spans())) == 0 {
+				t.Error("no journey assembled into a critical path")
+			}
+		})
 	}
 }

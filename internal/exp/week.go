@@ -15,13 +15,13 @@ import (
 	"p2pdrm/internal/geo"
 	"p2pdrm/internal/obs"
 	"p2pdrm/internal/simnet"
-	"p2pdrm/internal/svc"
 	"p2pdrm/internal/workload"
 )
 
 // WeekConfig scales the Fig. 5 / Fig. 6 reproduction: a multi-day trace
 // of diurnal login/switch/join traffic against the paper's deployment
-// shape (two User Managers, four Channel Managers over two partitions).
+// shape (two User Managers, four Channel Managers over two partitions,
+// each backend 4 workers at 3 ms (UM) / 2 ms (CM) mean service).
 type WeekConfig struct {
 	Seed int64
 	// Days of simulated time (paper: 7, June 23–29 2008).
@@ -36,17 +36,6 @@ type WeekConfig struct {
 	// MeanSession / MeanZap parameterize viewing behaviour.
 	MeanSession time.Duration
 	MeanZap     time.Duration
-	// UserMgrFarm (default 2) and ChannelMgrFarm per partition (default
-	// 2, over 2 partitions = 4 total) mirror §VI.
-	UserMgrFarm    int
-	ChannelMgrFarm int
-	// Capacity of each manager backend.
-	UMWorkers   int
-	UMServiceMS float64
-	CMWorkers   int
-	CMServiceMS float64
-	// SampleEvery is the concurrent-user sampling period.
-	SampleEvery time.Duration
 	// MetricsEvery is the system-metrics sampling period (endpoint and
 	// network counters into WeekResult.Series). Default 1h — the same
 	// granularity as the paper's per-hour tables.
@@ -69,12 +58,21 @@ type WeekConfig struct {
 	// 0 disables tracing entirely — no ring is allocated and the run is
 	// byte-identical to an untraced one. Sampling is a pure hash of the
 	// seed and key (no RNG draws), so the traced cohort — and the
-	// exported spans — are identical at any shard count.
+	// exported spans — are identical at any shard count. The ring keeps
+	// the newest weekTraceCap spans; exports report the dropped count.
 	TraceEvery int
-	// TraceCap bounds the span ring (default 1 << 16). Overflow evicts
-	// the oldest spans; exports report the dropped count.
-	TraceCap int
 }
+
+// The week's fixed deployment and sampling shape.
+const (
+	weekUMWorkers   = 4
+	weekUMServiceMS = 3
+	weekCMWorkers   = 4
+	weekCMServiceMS = 2
+	// weekSampleEvery is the concurrent-user sampling period.
+	weekSampleEvery = 5 * time.Minute
+	weekTraceCap    = 1 << 16
+)
 
 func (c *WeekConfig) fill() {
 	if c.Shards <= 0 {
@@ -98,36 +96,15 @@ func (c *WeekConfig) fill() {
 	if c.MeanZap <= 0 {
 		c.MeanZap = 15 * time.Minute
 	}
-	if c.UserMgrFarm <= 0 {
-		c.UserMgrFarm = 2
-	}
-	if c.ChannelMgrFarm <= 0 {
-		c.ChannelMgrFarm = 2
-	}
-	if c.UMWorkers <= 0 {
-		c.UMWorkers = 4
-	}
-	if c.UMServiceMS <= 0 {
-		c.UMServiceMS = 3
-	}
-	if c.CMWorkers <= 0 {
-		c.CMWorkers = 4
-	}
-	if c.CMServiceMS <= 0 {
-		c.CMServiceMS = 2
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 5 * time.Minute
-	}
 	if c.MetricsEvery <= 0 {
 		c.MetricsEvery = time.Hour
-	}
-	if c.TraceCap <= 0 {
-		c.TraceCap = 1 << 16
 	}
 }
 
 // WeekResult carries the corpus and trace parameters for rendering.
+// Its Observed part holds the client-measured call distributions behind
+// the Fig. 5 medians, the MetricsEvery-interval series, and the span
+// ring of the traced cohort (nil unless WeekConfig.TraceEvery > 0).
 type WeekResult struct {
 	Corpus         *feedback.Corpus
 	Start          time.Time
@@ -135,25 +112,12 @@ type WeekResult struct {
 	PeakConcurrent int
 	Sessions       int
 	LoginFailures  int
-
-	// Calls aggregates client-side per-service call stats (histograms
-	// included) across every session of the week — the client-measured
-	// distributions behind the Fig. 5 medians.
-	Calls map[string]svc.CallStats
-	// Endpoints is the final server-side endpoint snapshot.
-	Endpoints map[string]svc.Metrics
-	// Series is the MetricsEvery-interval system time series.
-	Series *obs.Series
-	// Net is the network message counters for the whole week.
-	Net simnet.NetStats
 	// VirtualRenewals / VirtualChurned / VirtualEvictions count the
 	// lane-resident ambient population's events.
 	VirtualRenewals  int64
 	VirtualChurned   int64
 	VirtualEvictions int64
-	// Trace is the span ring for the traced session cohort (nil unless
-	// WeekConfig.TraceEvery > 0).
-	Trace *obs.Trace
+	Observed
 }
 
 // RunWeek simulates the measurement week and returns the feedback
@@ -174,22 +138,21 @@ func RunWeek(cfg WeekConfig) (*WeekResult, error) {
 	svcRng := rand.New(rand.NewSource(cfg.Seed + 7))
 
 	eng := newEngine(cfg.Seed, cfg.Shards)
-	var trace *obs.Trace
+	traceCap := 0
 	if cfg.TraceEvery > 0 {
-		trace = obs.NewTrace(cfg.TraceCap)
+		traceCap = weekTraceCap
 	}
-	sys, err := core.NewSystem(core.Options{
-		Trace:          trace,
+	sys, ob, err := observe(traceCap, core.Options{
 		Scheduler:      eng.Ctrl(),
 		Seed:           cfg.Seed,
-		UserMgrFarm:    cfg.UserMgrFarm,
+		UserMgrFarm:    2,
 		Partitions:     []string{"p1", "p2"},
-		ChannelMgrFarm: cfg.ChannelMgrFarm,
+		ChannelMgrFarm: 2,
 		UserMgrCapacity: core.CapacityModel{
-			Workers: cfg.UMWorkers, ServiceTime: expService(svcRng, cfg.UMServiceMS),
+			Workers: weekUMWorkers, ServiceTime: expService(svcRng, weekUMServiceMS),
 		},
 		ChannelMgrCapacity: core.CapacityModel{
-			Workers: cfg.CMWorkers, ServiceTime: expService(svcRng, cfg.CMServiceMS),
+			Workers: weekCMWorkers, ServiceTime: expService(svcRng, weekCMServiceMS),
 		},
 		PacketInterval: 24 * 365 * time.Hour, // content off (see doc comment)
 		RekeyInterval:  time.Minute,
@@ -225,18 +188,15 @@ func RunWeek(cfg WeekConfig) (*WeekResult, error) {
 	active := 0
 	hostSeq := 0
 
-	// System metrics: endpoint/network sampler plus the cross-session
-	// call aggregator. Sampling rides scheduled events and reads only
-	// atomics, so the corpus (and its golden fingerprint) is identical
-	// with or without it.
-	agg := NewCallAggregator()
-	sampler := NewSystemSampler(sys, cfg.MetricsEvery)
-	sampler.AddSource(agg.Source())
-	sampler.AddSource(func(add func(string, float64)) {
+	// System metrics: the endpoint/network sampler plus the
+	// cross-session call stats and concurrency. Sampling rides scheduled
+	// events and reads only atomics, so the corpus (and its golden
+	// fingerprint) is identical with or without it.
+	sources := []obs.Source{ob.calls.Source(), func(add func(string, float64)) {
 		mu.Lock()
 		add("users.active", float64(active))
 		mu.Unlock()
-	})
+	}}
 
 	// Ambient lane population: renewals tick on the worker lanes,
 	// observed by the sampler at epoch boundaries.
@@ -244,14 +204,14 @@ func RunWeek(cfg WeekConfig) (*WeekResult, error) {
 	if cfg.VirtualViewers > 0 {
 		pops = newShardPops(eng, cfg.VirtualViewers, cfg.Seed,
 			5*time.Minute, 12*time.Minute+30*time.Second, 0.02)
-		sampler.AddSource(func(add func(string, float64)) {
+		sources = append(sources, func(add func(string, float64)) {
 			renewals, churned, evictions := popTotals(pops)
 			add("virtual.renewals", float64(renewals))
 			add("virtual.churned", float64(churned))
 			add("virtual.evictions", float64(evictions))
 		})
 	}
-	sampler.Run(sys.Sched, end)
+	ob.start(cfg.MetricsEvery, end, nil, sources...)
 
 	wlRng := rand.New(rand.NewSource(cfg.Seed + 13))
 	arrivals := workload.NewArrivals(wlRng, workload.DiurnalProfile(), cfg.PeakSessionsPerHour, start)
@@ -264,7 +224,7 @@ func RunWeek(cfg WeekConfig) (*WeekResult, error) {
 			if !sys.Sched.Now().Before(end) {
 				return
 			}
-			sys.Sched.Sleep(cfg.SampleEvery)
+			sys.Sched.Sleep(weekSampleEvery)
 			mu.Lock()
 			n := active
 			if n > res.PeakConcurrent {
@@ -276,24 +236,19 @@ func RunWeek(cfg WeekConfig) (*WeekResult, error) {
 	})
 
 	runSession := func(email string, addr simnet.Addr, traceKey string) {
-		c, err := sys.NewClient(email, "pw", addr, func(cc *client.Config) {
-			cc.Parents = 2
-			if trace != nil && obs.Sampled(cfg.Seed, traceKey, cfg.TraceEvery) {
-				cc.TraceID = obs.TraceIDFor(cfg.Seed, traceKey)
-			} else {
-				// Head sampling: sessions outside the cohort stay dark
-				// (no flat call spans crowding the ring).
-				cc.Trace = nil
-			}
-		})
+		// Head sampling: sessions outside the cohort stay dark (no flat
+		// call spans crowding the ring).
+		if !obs.Sampled(cfg.Seed, traceKey, cfg.TraceEvery) {
+			traceKey = ""
+		}
+		c, err := ob.client(email, addr, traceKey, func(cc *client.Config) { cc.Parents = 2 })
 		if err != nil {
 			return
 		}
-		agg.Track(c)
 		defer func() {
 			c.StopWatching()
 			res.Corpus.Submit(c.FeedbackLog())
-			agg.Finish(c)
+			ob.calls.Finish(c)
 			sys.Net.RemoveNode(addr)
 		}()
 		if err := c.Login(); err != nil {
@@ -357,12 +312,8 @@ func RunWeek(cfg WeekConfig) (*WeekResult, error) {
 
 	eng.Run(end)
 	sys.StopAll()
-	res.Calls = agg.Totals()
-	res.Endpoints = sys.EndpointTotals()
-	res.Series = sampler.Series()
-	res.Net = sys.Net.Stats()
+	res.Observed = ob.finish()
 	res.VirtualRenewals, res.VirtualChurned, res.VirtualEvictions = popTotals(pops)
-	res.Trace = trace
 	return res, nil
 }
 

@@ -23,11 +23,12 @@ type ZapConfig struct {
 	Channels int
 	// Zaps per viewer measured after warm-up.
 	Zaps int
-	// PacketInterval paces content; a zap cannot beat the gap to the
-	// next produced frame, exactly like waiting for the next keyframe in
-	// a real encoder. Default 500ms.
-	PacketInterval time.Duration
 }
+
+// zapPacketInterval paces content; a zap cannot beat the gap to the
+// next produced frame, exactly like waiting for the next keyframe in a
+// real encoder.
+const zapPacketInterval = 500 * time.Millisecond
 
 func (c *ZapConfig) fill() {
 	if c.Viewers <= 0 {
@@ -38,9 +39,6 @@ func (c *ZapConfig) fill() {
 	}
 	if c.Zaps <= 0 {
 		c.Zaps = 5
-	}
-	if c.PacketInterval <= 0 {
-		c.PacketInterval = 500 * time.Millisecond
 	}
 }
 
@@ -58,7 +56,7 @@ func RunZap(cfg ZapConfig) (*ZapResult, error) {
 	cfg.fill()
 	sys, err := core.NewSystem(core.Options{
 		Seed:           cfg.Seed,
-		PacketInterval: cfg.PacketInterval,
+		PacketInterval: zapPacketInterval,
 		RootRegion:     100,
 	})
 	if err != nil {

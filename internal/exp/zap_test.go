@@ -7,6 +7,7 @@ import (
 )
 
 func TestZapLatencyMeetsViewingExperience(t *testing.T) {
+	t.Parallel()
 	res, err := RunZap(ZapConfig{
 		Seed:     4,
 		Viewers:  10,
