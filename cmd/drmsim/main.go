@@ -132,6 +132,30 @@ var figures = []figure{
 	{"farm", runFarm},
 }
 
+// unobserved names, per figure, the export flags it cannot honour: its
+// result carries no exp.Observed, so there is nothing for -metrics to
+// write beyond what the figure exports itself, and no trace for -trace.
+var unobserved = map[string][]string{
+	"baseline":  {"-trace"},
+	"farm":      {"-trace"},
+	"megascale": {"-trace"},
+	"churn":     {"-metrics", "-trace"},
+	"zap":       {"-metrics", "-trace"},
+	"rekey":     {"-metrics", "-trace"},
+}
+
+// ignored lists the export flags set on this run that figure name
+// cannot honour.
+func (r *runner) ignored(name string) []string {
+	var out []string
+	for _, flag := range unobserved[name] {
+		if (flag == "-metrics" && r.metrics != nil) || (flag == "-trace" && r.trace != nil) {
+			out = append(out, flag)
+		}
+	}
+	return out
+}
+
 // figs enumerates every valid -fig value; an unknown value is an error,
 // not a silent no-op run.
 var figs = figNames()
@@ -194,6 +218,9 @@ func run(args []string) error {
 	for _, f := range figures {
 		if *fig != f.name && *fig != "all" {
 			continue
+		}
+		if flags := r.ignored(f.name); len(flags) > 0 {
+			fmt.Fprintf(os.Stderr, "drmsim: -fig %s cannot honour %s; nothing is exported for it\n", f.name, strings.Join(flags, " or "))
 		}
 		out, ob, err := f.run(&r)
 		if err != nil {

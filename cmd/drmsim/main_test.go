@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -94,5 +95,73 @@ func TestMetricsExportWritesScenarioArtifacts(t *testing.T) {
 				t.Error("waterfall holds no assembled login journey")
 			}
 		})
+	}
+}
+
+// TestUnobservedFigureNamesIgnoredFlags pins the notice for figures
+// whose results carry no exp.Observed: a -metrics or -trace the figure
+// cannot honour is named on stderr, once, instead of being dropped
+// without a word, and nothing is written for it.
+func TestUnobservedFigureNamesIgnoredFlags(t *testing.T) {
+	for name := range unobserved {
+		if !slices.Contains(figs, name) {
+			t.Errorf("unobserved lists %q, which is no figure", name)
+		}
+	}
+	both := runner{metrics: &exporter{}, trace: &exporter{}}
+	for _, tc := range []struct {
+		fig  string
+		r    runner
+		want []string
+	}{
+		{"churn", both, []string{"-metrics", "-trace"}},
+		{"rekey", runner{metrics: &exporter{}}, []string{"-metrics"}},
+		{"megascale", both, []string{"-trace"}},
+		{"farm", runner{metrics: &exporter{}}, nil},
+		{"faults", both, nil},
+		{"5a", both, nil},
+		{"zap", runner{}, nil},
+	} {
+		if got := tc.r.ignored(tc.fig); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: ignored flags %v; want %v", tc.fig, got, tc.want)
+		}
+	}
+
+	metrics, traces := t.TempDir(), t.TempDir()
+	stderr, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer null.Close()
+	oldOut, oldErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = null, stderr
+	err = run([]string{"-fig", "zap", "-seed", "1", "-metrics", metrics, "-trace", traces})
+	os.Stdout, os.Stderr = oldOut, oldErr
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var notices []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.Contains(line, "cannot honour") {
+			notices = append(notices, line)
+		}
+	}
+	if len(notices) != 1 || !strings.Contains(notices[0], "zap") ||
+		!strings.Contains(notices[0], "-metrics") || !strings.Contains(notices[0], "-trace") {
+		t.Fatalf("stderr notices %q; want one line naming zap, -metrics and -trace", notices)
+	}
+	for _, dir := range []string{metrics, traces} {
+		if files, _ := os.ReadDir(dir); len(files) != 0 {
+			t.Errorf("%s holds %d files after a zap run; want none", dir, len(files))
+		}
 	}
 }

@@ -116,14 +116,32 @@ func summarize(lats []time.Duration, allDone time.Duration, failures, maxQ int) 
 	}
 }
 
-func expService(seed int64, meanMS float64) func() time.Duration {
-	rng := rand.New(rand.NewSource(seed))
-	var mu sync.Mutex
+// serviceStream is one seeded service-time RNG stream. Scenarios seed
+// one per role (expService); the week's UM and CM backends share one
+// and draw from it in turn.
+type serviceStream struct {
+	mu  sync.Mutex
+	rng *rand.Rand
+}
+
+func newServiceStream(seed int64) *serviceStream {
+	return &serviceStream{rng: rand.New(rand.NewSource(seed))}
+}
+
+// exp returns a manager ServiceTime model: exponential draws with mean
+// meanMS from the stream.
+func (s *serviceStream) exp(meanMS float64) func() time.Duration {
 	return func() time.Duration {
-		mu.Lock()
-		defer mu.Unlock()
-		return time.Duration(rng.ExpFloat64() * meanMS * float64(time.Millisecond))
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return time.Duration(s.rng.ExpFloat64() * meanMS * float64(time.Millisecond))
 	}
+}
+
+// expService is the exponential service-time model on a stream of its
+// own.
+func expService(seed int64, meanMS float64) func() time.Duration {
+	return newServiceStream(seed).exp(meanMS)
 }
 
 func runTradFlash(cfg FlashConfig) (SideResult, error) {

@@ -50,9 +50,9 @@ func sm64Seed(seed int64, global int) uint64 {
 // renewal may churn the viewer instead. Viewers are striped over lanes
 // by global index and draw from entity-local RNG streams; all state here
 // is lane-owned, and per-viewer state is flat slices (no per-viewer
-// structs or closures: events share top-level funcs and an index boxed
-// once at construction). Counters are read by control-phase samplers
-// (commutative sums at epoch boundaries).
+// structs or closures: events name one of the lane's two handlers and
+// carry the lane-local viewer index as their argument). Counters are
+// read by control-phase samplers (commutative sums at epoch boundaries).
 type shardPop struct {
 	lane       *sim.Shard
 	renewEvery time.Duration
@@ -63,9 +63,10 @@ type shardPop struct {
 	churned   int64
 	evictions int64
 
+	renewH, evictedH int32 // lane handler IDs for renew and evicted
+
 	rng   []uint64         // per-viewer SplitMix64 state
 	evict []sim.ShardTimer // pending eviction sentinel per viewer
-	args  []any            // preallocated boxed lane-local indices
 }
 
 // newShardPops stripes n viewers over the engine's lanes (viewer v on
@@ -86,18 +87,18 @@ func newShardPops(eng *sim.Sharded, n int, seed int64, renewEvery, evictAfter ti
 			churn:      churn,
 			rng:        make([]uint64, size),
 			evict:      make([]sim.ShardTimer, size),
-			args:       make([]any, size),
 		}
+		p.renewH = p.lane.Handler(p.renew)
+		p.evictedH = p.lane.Handler(p.evicted)
 		for i := 0; i < size; i++ {
 			p.rng[i] = sm64Seed(seed, s+i*shards)
-			p.args[i] = i
 		}
 		pops[s] = p
 	}
 	for _, p := range pops {
-		for i := range p.args {
+		for i := range p.rng {
 			phase := time.Duration(sm64Float(&p.rng[i]) * float64(p.renewEvery))
-			p.lane.AfterArg(phase, p.renew, p.args[i])
+			p.lane.AfterH(phase, p.renewH, uint64(i))
 		}
 	}
 	return pops
@@ -105,28 +106,26 @@ func newShardPops(eng *sim.Sharded, n int, seed int64, renewEvery, evictAfter ti
 
 // renew is one viewer's license renewal: cancel the previous eviction
 // sentinel, maybe churn, re-arm both timers.
-func (p *shardPop) renew(arg any) {
-	i := arg.(int)
+func (p *shardPop) renew(i uint64) {
 	p.evict[i].Stop()
 	if sm64Float(&p.rng[i]) < p.churn {
 		// Silent departure: no renewal is scheduled, so the sentinel
 		// fires at the deadline and admits a replacement.
 		p.churned++
-		p.evict[i] = p.lane.AfterArg(p.evictAfter, p.evicted, p.args[i])
+		p.evict[i] = p.lane.AfterH(p.evictAfter, p.evictedH, i)
 		return
 	}
 	p.renewals++
-	p.evict[i] = p.lane.AfterArg(p.evictAfter, p.evicted, p.args[i])
-	p.lane.AfterArg(p.renewEvery, p.renew, p.args[i])
+	p.evict[i] = p.lane.AfterH(p.evictAfter, p.evictedH, i)
+	p.lane.AfterH(p.renewEvery, p.renewH, i)
 }
 
 // evicted fires only for churned viewers (renewals always cancel it
 // first); the slot's replacement joins with a fresh phase.
-func (p *shardPop) evicted(arg any) {
-	i := arg.(int)
+func (p *shardPop) evicted(i uint64) {
 	p.evictions++
 	phase := time.Duration(sm64Float(&p.rng[i]) * float64(p.renewEvery))
-	p.lane.AfterArg(phase, p.renew, p.args[i])
+	p.lane.AfterH(phase, p.renewH, i)
 }
 
 // popTotals sums the commutative counters across lanes (control-phase

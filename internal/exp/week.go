@@ -127,15 +127,7 @@ type WeekResult struct {
 // flow for real).
 func RunWeek(cfg WeekConfig) (*WeekResult, error) {
 	cfg.fill()
-	expService := func(rng *rand.Rand, meanMS float64) func() time.Duration {
-		var mu sync.Mutex
-		return func() time.Duration {
-			mu.Lock()
-			defer mu.Unlock()
-			return time.Duration(rng.ExpFloat64() * meanMS * float64(time.Millisecond))
-		}
-	}
-	svcRng := rand.New(rand.NewSource(cfg.Seed + 7))
+	svcStream := newServiceStream(cfg.Seed + 7) // shared by the UM and CM backends
 
 	eng := newEngine(cfg.Seed, cfg.Shards)
 	traceCap := 0
@@ -149,10 +141,10 @@ func RunWeek(cfg WeekConfig) (*WeekResult, error) {
 		Partitions:     []string{"p1", "p2"},
 		ChannelMgrFarm: 2,
 		UserMgrCapacity: core.CapacityModel{
-			Workers: weekUMWorkers, ServiceTime: expService(svcRng, weekUMServiceMS),
+			Workers: weekUMWorkers, ServiceTime: svcStream.exp(weekUMServiceMS),
 		},
 		ChannelMgrCapacity: core.CapacityModel{
-			Workers: weekCMWorkers, ServiceTime: expService(svcRng, weekCMServiceMS),
+			Workers: weekCMWorkers, ServiceTime: svcStream.exp(weekCMServiceMS),
 		},
 		PacketInterval: 24 * 365 * time.Hour, // content off (see doc comment)
 		RekeyInterval:  time.Minute,

@@ -9,7 +9,7 @@ import (
 // Sharded is a lock-step parallel discrete-event engine: a control
 // Scheduler (the full cooperative-goroutine simulator) plus N worker
 // shard lanes, each owning its own event queue (heap + timer wheel).
-// Lanes hold only plain callback events — the high-volume, entity-local
+// Lanes hold only handler-ID events — the high-volume, entity-local
 // timer populations (virtual-viewer renewals, evictions, churn) — while
 // everything that blocks on virtual time or talks RPC stays on the
 // control scheduler.
@@ -191,13 +191,17 @@ func (e *Sharded) runLanes(limit int64) {
 }
 
 // Shard is one worker lane: an event queue advanced in epochs by the
-// engine. All methods are unsynchronized — see the Sharded contract for
-// who may call what when.
+// engine, plus the lane's handler table. Lane events carry a handler ID
+// and a uint64 argument rather than a closure, so a pending lane event
+// holds no pointer and a million-timer lane costs the garbage collector
+// nothing to scan. All methods are unsynchronized — see the Sharded
+// contract for who may call what when.
 type Shard struct {
 	eng       *Sharded
 	id        int
 	nowKey    int64
 	q         equeue
+	handlers  []func(uint64)
 	executing bool
 }
 
@@ -210,87 +214,64 @@ func (sh *Shard) checkSchedule() {
 	}
 }
 
-func (sh *Shard) scheduleKey(at time.Time) int64 {
+// Handler registers fn on the lane and returns its ID for AtH/AfterH.
+// Register each handler once (typically a method value bound to the
+// lane's entity table) and name the entity by the uint64 argument.
+func (sh *Shard) Handler(fn func(uint64)) int32 {
+	sh.checkSchedule()
+	sh.handlers = append(sh.handlers, fn)
+	return int32(len(sh.handlers) - 1)
+}
+
+// AtH schedules handler h with arg on the lane at virtual time at (or
+// the lane clock, whichever is later).
+func (sh *Shard) AtH(at time.Time, h int32, arg uint64) ShardTimer {
+	sh.checkSchedule()
 	key := at.UnixNano()
 	if key < sh.nowKey {
 		key = sh.nowKey
 	}
-	return key
+	i := sh.q.schedule(key)
+	ev := sh.q.ev(i)
+	ev.h, ev.arg = h, arg
+	return ShardTimer{sh: sh, idx: i, seq: ev.seq}
 }
 
-// At schedules fn on the lane at virtual time at (or the lane clock,
-// whichever is later).
-func (sh *Shard) At(at time.Time, fn func()) ShardTimer {
-	sh.checkSchedule()
-	ev := sh.q.schedule(sh.scheduleKey(at))
-	ev.fn = fn
-	return ShardTimer{sh: sh, ev: ev, gen: ev.gen}
-}
-
-// AtArg schedules fn(arg) on the lane — closure-free form for
-// per-entity timer populations.
-func (sh *Shard) AtArg(at time.Time, fn func(any), arg any) ShardTimer {
-	sh.checkSchedule()
-	ev := sh.q.schedule(sh.scheduleKey(at))
-	ev.fnA = fn
-	ev.arg = arg
-	return ShardTimer{sh: sh, ev: ev, gen: ev.gen}
-}
-
-// After schedules fn to run d after the lane clock.
-func (sh *Shard) After(d time.Duration, fn func()) ShardTimer {
+// AfterH schedules handler h with arg to run d after the lane clock.
+func (sh *Shard) AfterH(d time.Duration, h int32, arg uint64) ShardTimer {
 	if d < 0 {
 		d = 0
 	}
-	return sh.At(time.Unix(0, sh.nowKey+int64(d)).UTC(), fn)
-}
-
-// AfterArg schedules fn(arg) to run d after the lane clock.
-func (sh *Shard) AfterArg(d time.Duration, fn func(any), arg any) ShardTimer {
-	if d < 0 {
-		d = 0
-	}
-	return sh.AtArg(time.Unix(0, sh.nowKey+int64(d)).UTC(), fn, arg)
+	return sh.AtH(time.Unix(0, sh.nowKey+int64(d)).UTC(), h, arg)
 }
 
 // runThrough executes lane events with key <= limit in (key, seq) order.
 func (sh *Shard) runThrough(limit int64) {
 	sh.executing = true
 	for {
-		ev := sh.q.popThrough(limit)
-		if ev == nil {
+		i := sh.q.popThrough(limit)
+		if i == noEvent {
 			break
 		}
+		ev := sh.q.ev(i)
 		sh.nowKey = ev.key
-		if ev.fnA != nil {
-			fn, arg := ev.fnA, ev.arg
-			sh.q.release(ev)
-			fn(arg)
-		} else {
-			fn := ev.fn
-			sh.q.release(ev)
-			fn()
-		}
+		h, arg := ev.h, ev.arg
+		sh.q.release(i)
+		sh.handlers[h](arg)
 	}
 	sh.executing = false
 }
 
-// ShardTimer cancels a pending lane event. Stop must be called under
-// the same conditions as scheduling into the lane.
+// ShardTimer cancels a pending lane event, named by slab slot plus seq.
+// Stop must be called under the same conditions as scheduling into the
+// lane.
 type ShardTimer struct {
 	sh  *Shard
-	ev  *event
-	gen uint64
+	idx int32
+	seq uint64
 }
 
 // Stop cancels the timer, reporting whether it was still pending.
 func (t ShardTimer) Stop() bool {
-	if t.sh == nil || t.ev == nil {
-		return false
-	}
-	if t.ev.gen != t.gen || t.ev.dead {
-		return false
-	}
-	t.sh.q.kill(t.ev)
-	return true
+	return t.sh != nil && t.sh.q.cancel(t.idx, t.seq)
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -33,22 +34,28 @@ func shardFixture(t *testing.T, n int, entities int, end time.Time) []*shardEnti
 			period: time.Duration(1+i%7) * time.Millisecond,
 		}
 	}
-	follow := func(v any) { v.(*shardEntity).ticks++ }
-	var tick func(v any)
-	tick = func(v any) {
-		e := v.(*shardEntity)
+	// Every lane registers the same handlers in the same order, so the
+	// IDs agree across lanes.
+	var tickH, followH int32
+	follow := func(v uint64) { ents[v].ticks++ }
+	tick := func(v uint64) {
+		e := ents[v]
 		e.fires++
 		e.ticks++
 		e.log = append(e.log, e.lane.nowKey)
 		if e.fires%10 == 0 {
-			e.lane.AfterArg(time.Duration(1+e.id)*time.Microsecond, follow, e)
+			e.lane.AfterH(time.Duration(1+e.id)*time.Microsecond, followH, v)
 		}
 		if e.fires < 100 {
-			e.lane.AfterArg(e.period, tick, e)
+			e.lane.AfterH(e.period, tickH, v)
 		}
 	}
+	for i := 0; i < n; i++ {
+		tickH = eng.Shard(i).Handler(tick)
+		followH = eng.Shard(i).Handler(follow)
+	}
 	for _, e := range ents {
-		e.lane.AtArg(t0.Add(e.period), tick, e)
+		e.lane.AtH(t0.Add(e.period), tickH, uint64(e.id))
 	}
 	eng.Run(end)
 	return ents
@@ -106,16 +113,18 @@ func TestShardedControlPhaseFirst(t *testing.T) {
 	sample := func(n int) []int64 {
 		eng := NewSharded(t0, 1, n, lookahead)
 		counters := make([]int64, n)
-		var tick func(v any)
-		tick = func(v any) {
-			i := v.(int)
-			counters[i]++
-			if counters[i] < 1000 {
-				eng.Shard(i).AfterArg(time.Millisecond, tick, v)
+		var tickH int32
+		tick := func(v uint64) {
+			counters[v]++
+			if counters[v] < 1000 {
+				eng.Shard(int(v)).AfterH(time.Millisecond, tickH, v)
 			}
 		}
 		for i := 0; i < n; i++ {
-			eng.Shard(i).AtArg(t0.Add(time.Millisecond), tick, i)
+			tickH = eng.Shard(i).Handler(tick)
+		}
+		for i := 0; i < n; i++ {
+			eng.Shard(i).AtH(t0.Add(time.Millisecond), tickH, uint64(i))
 		}
 		var samples []int64
 		var obsTick func()
@@ -185,13 +194,14 @@ func TestShardedLaneFreeEquivalence(t *testing.T) {
 func TestShardedTimerStop(t *testing.T) {
 	eng := NewSharded(t0, 5, 2, 5*time.Millisecond)
 	fired := 0
-	keep := eng.Shard(0).After(20*time.Millisecond, func() { fired++ })
+	lane := eng.Shard(0)
+	fire := lane.Handler(func(uint64) { fired++ })
+	never := lane.Handler(func(uint64) { t.Error("stopped lane timer fired") })
+	keep := lane.AfterH(20*time.Millisecond, fire, 0)
 	_ = keep
 	var cancelled []ShardTimer
 	for i := 0; i < 1000; i++ {
-		cancelled = append(cancelled, eng.Shard(0).After(time.Minute+time.Duration(i)*time.Millisecond, func() {
-			t.Error("stopped lane timer fired")
-		}))
+		cancelled = append(cancelled, lane.AfterH(time.Minute+time.Duration(i)*time.Millisecond, never, uint64(i)))
 	}
 	for _, tm := range cancelled {
 		if !tm.Stop() {
@@ -210,16 +220,22 @@ func TestShardedTimerStop(t *testing.T) {
 	}
 
 	defer func() {
-		if recover() == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("scheduling into a foreign lane mid-run did not panic")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "outside its worker phase") {
+			t.Fatalf("panic %q is not the scheduling-contract panic", msg)
 		}
 	}()
 	eng2 := NewSharded(t0, 5, 2, 5*time.Millisecond)
-	eng2.Shard(0).AtArg(t0.Add(time.Millisecond), func(any) {
+	noop1 := eng2.Shard(1).Handler(func(uint64) {})
+	cross := eng2.Shard(0).Handler(func(uint64) {
 		// Lane 0 callback scheduling into lane 1 violates the contract:
 		// lanes never exchange events.
-		eng2.Shard(1).After(time.Millisecond, func() {})
-	}, nil)
+		eng2.Shard(1).AfterH(time.Millisecond, noop1, 0)
+	})
+	eng2.Shard(0).AtH(t0.Add(time.Millisecond), cross, 0)
 	eng2.Run(t0.Add(time.Second))
 }
 
@@ -237,21 +253,25 @@ func TestShardedStress(t *testing.T) {
 	for i := range actors {
 		actors[i] = &actor{lane: eng.Shard(i % lanes), state: uint64(i)}
 	}
-	var step func(v any)
-	step = func(v any) {
-		a := v.(*actor)
+	var stepH, noopH int32
+	step := func(v uint64) {
+		a := actors[v]
 		a.n++
 		a.state = a.state*6364136223846793005 + 1442695040888963407
 		if a.state%5 == 0 {
-			tm := a.lane.After(time.Duration(1+a.state%100)*time.Millisecond, func() {})
+			tm := a.lane.AfterH(time.Duration(1+a.state%100)*time.Millisecond, noopH, v)
 			tm.Stop()
 		}
 		if a.n < 500 {
-			a.lane.AfterArg(time.Duration(100+a.state%900)*time.Microsecond, step, a)
+			a.lane.AfterH(time.Duration(100+a.state%900)*time.Microsecond, stepH, v)
 		}
 	}
-	for _, a := range actors {
-		a.lane.AtArg(t0.Add(time.Duration(1+a.state%50)*time.Microsecond), step, a)
+	for i := 0; i < lanes; i++ {
+		stepH = eng.Shard(i).Handler(step)
+		noopH = eng.Shard(i).Handler(func(uint64) {})
+	}
+	for i, a := range actors {
+		a.lane.AtH(t0.Add(time.Duration(1+a.state%50)*time.Microsecond), stepH, uint64(i))
 	}
 	eng.Run(t0.Add(10 * time.Second))
 	for i, a := range actors {

@@ -38,7 +38,7 @@ type Scheduler struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // the event loop waits here for quiescence
 	now     time.Time
-	q       equeue    // heap + timer wheel + freelist (see queue.go)
+	q       equeue    // event slab + heap + timer wheel (see queue.go)
 	active  int       // 1 while a simulated goroutine holds the run token
 	runq    []*parker // goroutines unparked and awaiting the token, FIFO
 	runqOff int       // consumed prefix of runq
@@ -116,54 +116,24 @@ var parkerPool = sync.Pool{New: func() any { return &parker{ch: make(chan struct
 func getParker() *parker  { return parkerPool.Get().(*parker) }
 func putParker(p *parker) { parkerPool.Put(p) }
 
-// event is a scheduled occurrence. Exactly one of fn, fnA, p, w is set:
-// a plain callback, a callback with its argument (saves the closure on
-// hot RPC paths), a sleeping goroutine to hand the token to, or a Waiter
-// whose timeout this is. Events are pooled: gen distinguishes a live
-// event from a recycled one so a stale Timer cannot cancel its slot's
-// next tenant.
-type event struct {
-	key     int64 // due instant as UnixNano: the only time representation
-	seq     uint64
-	fn      func()
-	fnA     func(any)
-	arg     any
-	p       *parker
-	w       *Waiter
-	dead    bool
-	inWheel bool   // resident in a wheel slot rather than the heap
-	wnext   *event // intrusive wheel-slot chain link
-	gen     uint64
-}
-
-// maxFree bounds the event freelist; beyond it events fall back to GC.
-const maxFree = 4096
-
-// purgeFloor is the minimum number of dead events before a compaction is
-// considered (small heaps clean themselves up through popLocked).
-const purgeFloor = 256
-
-// Timer handles a pending event so it can be cancelled. The zero Timer
-// is inert; Stop on it reports false.
+// Timer handles a pending event so it can be cancelled. It names the
+// event by slab slot plus seq, so a stale Timer cannot cancel the slot's
+// next tenant. The zero Timer is inert; Stop on it reports false.
 type Timer struct {
 	s   *Scheduler
-	ev  *event
-	gen uint64
+	idx int32
+	seq uint64
 }
 
 // Stop cancels the timer. It reports whether the event had not yet fired
 // or been stopped.
 func (t Timer) Stop() bool {
-	if t.s == nil || t.ev == nil {
+	if t.s == nil {
 		return false
 	}
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
-	if t.ev.gen != t.gen || t.ev.dead {
-		return false
-	}
-	t.s.q.kill(t.ev)
-	return true
+	return t.s.q.cancel(t.idx, t.seq)
 }
 
 // At schedules fn to run at virtual time at (or now, whichever is later).
@@ -171,9 +141,9 @@ func (t Timer) Stop() bool {
 // inside fn for anything that sleeps.
 func (s *Scheduler) At(at time.Time, fn func()) Timer {
 	s.mu.Lock()
-	ev := s.scheduleLocked(at)
-	ev.fn = fn
-	t := Timer{s: s, ev: ev, gen: ev.gen}
+	i, pl := s.scheduleLocked(at)
+	pl.fn = fn
+	t := s.timerLocked(i)
 	s.mu.Unlock()
 	return t
 }
@@ -184,9 +154,9 @@ func (s *Scheduler) After(d time.Duration, fn func()) Timer {
 		d = 0
 	}
 	s.mu.Lock()
-	ev := s.scheduleLocked(s.now.Add(d))
-	ev.fn = fn
-	t := Timer{s: s, ev: ev, gen: ev.gen}
+	i, pl := s.scheduleLocked(s.now.Add(d))
+	pl.fn = fn
+	t := s.timerLocked(i)
 	s.mu.Unlock()
 	return t
 }
@@ -199,12 +169,16 @@ func (s *Scheduler) AfterArg(d time.Duration, fn func(any), arg any) Timer {
 		d = 0
 	}
 	s.mu.Lock()
-	ev := s.scheduleLocked(s.now.Add(d))
-	ev.fnA = fn
-	ev.arg = arg
-	t := Timer{s: s, ev: ev, gen: ev.gen}
+	i, pl := s.scheduleLocked(s.now.Add(d))
+	pl.fnA = fn
+	pl.arg = arg
+	t := s.timerLocked(i)
 	s.mu.Unlock()
 	return t
+}
+
+func (s *Scheduler) timerLocked(i int32) Timer {
+	return Timer{s: s, idx: i, seq: s.q.ev(i).seq}
 }
 
 // maxEventTime caps schedulable times at the largest UnixNano-representable
@@ -212,13 +186,16 @@ func (s *Scheduler) AfterArg(d time.Duration, fn func(any), arg any) Timer {
 // heap key. Simulations place sentinel events decades out, not centuries.
 var maxEventTime = time.Unix(0, math.MaxInt64)
 
-func (s *Scheduler) scheduleLocked(at time.Time) *event {
+// scheduleLocked files an event at at and returns its slot and payload
+// entry; the caller fills in exactly one kind of work before unlocking.
+func (s *Scheduler) scheduleLocked(at time.Time) (int32, *payload) {
 	if at.Before(s.now) {
 		at = s.now
 	} else if at.After(maxEventTime) {
 		at = maxEventTime
 	}
-	return s.q.schedule(at.UnixNano())
+	i := s.q.schedule(at.UnixNano())
+	return i, s.q.attach(i)
 }
 
 // worker is a pooled OS goroutine that runs simulated-goroutine bodies.
@@ -347,8 +324,8 @@ func (s *Scheduler) Sleep(d time.Duration) {
 	}
 	p := getParker()
 	s.mu.Lock()
-	ev := s.scheduleLocked(s.now.Add(d))
-	ev.p = p
+	_, pl := s.scheduleLocked(s.now.Add(d))
+	pl.p = p
 	s.handoffLocked()
 	s.mu.Unlock()
 	p.block()
@@ -383,43 +360,37 @@ func (s *Scheduler) RunUntil(deadline time.Time) {
 			s.mu.Unlock()
 			return
 		}
-		ev := s.q.popThrough(deadlineKey)
-		if ev == nil {
+		i := s.q.popThrough(deadlineKey)
+		if i == noEvent {
 			// Queue empty, or the next event is beyond the deadline and
 			// stays queued for a later RunUntil call.
 			s.mu.Unlock()
 			return
 		}
-		s.now = time.Unix(0, ev.key).UTC()
+		s.now = time.Unix(0, s.q.ev(i).key).UTC()
+		pl := s.q.payload[i]
+		s.q.release(i)
 		switch {
-		case ev.p != nil:
+		case pl.p != nil:
 			// A Sleep expired: hand the token straight to the sleeper.
-			p := ev.p
-			s.q.release(ev)
 			s.active = 1
-			p.wake()
-		case ev.w != nil:
+			pl.p.wake()
+		case pl.w != nil:
 			// A Waiter timed out (unless a Deliver won the race and this
 			// event was already disarmed).
-			w := ev.w
-			s.q.release(ev)
-			if !w.done {
+			if w := pl.w; !w.done {
 				w.done = true
-				w.tev = nil
+				w.tev = 0
 				s.active = 1
 				w.p.wake()
 			}
-		case ev.fnA != nil:
-			fn, arg := ev.fnA, ev.arg
-			s.q.release(ev)
+		case pl.fnA != nil:
 			s.mu.Unlock()
-			fn(arg)
+			pl.fnA(pl.arg)
 			s.mu.Lock()
 		default:
-			fn := ev.fn
-			s.q.release(ev)
 			s.mu.Unlock()
-			fn()
+			pl.fn()
 			s.mu.Lock()
 		}
 	}

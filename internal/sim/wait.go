@@ -19,12 +19,13 @@ var ErrClosed = errors.New("sim: queue closed")
 //
 // The zero Waiter is usable after Bind, which lets callers embed a Waiter
 // by value inside a larger call-context struct (one allocation instead of
-// two on RPC hot paths).
+// two on RPC hot paths); its pending timeout is therefore stored as
+// slot+1, so zero means none.
 type Waiter struct {
 	s         *Scheduler
 	val       any
 	p         *parker // set while a goroutine is parked in Wait
-	tev       *event  // pending timeout event, disarmed on delivery
+	tev       int32   // pending timeout event's slot+1 (0: none), disarmed on delivery
 	delivered bool
 	waiting   bool
 	done      bool
@@ -51,9 +52,9 @@ func (w *Waiter) deliverLocked(v any) bool {
 	w.val = v
 	if w.waiting {
 		w.done = true
-		if w.tev != nil {
-			w.s.q.kill(w.tev)
-			w.tev = nil
+		if w.tev != 0 {
+			w.s.q.kill(w.tev - 1)
+			w.tev = 0
 		}
 		w.s.unparkLocked(w.p)
 	}
@@ -84,9 +85,9 @@ func (w *Waiter) Wait(timeout time.Duration) (any, error) {
 	w.waiting = true
 	w.p = p
 	if timeout > 0 {
-		ev := w.s.scheduleLocked(w.s.now.Add(timeout))
-		ev.w = w
-		w.tev = ev
+		i, pl := w.s.scheduleLocked(w.s.now.Add(timeout))
+		pl.w = w
+		w.tev = i + 1
 	}
 	w.s.handoffLocked()
 	w.s.mu.Unlock()

@@ -14,9 +14,11 @@ import "math/bits"
 // comes due, at which point the band's survivors drain into the binary
 // heap, which then holds a single ~1ms band instead of the whole future.
 //
-// Slot chains are intrusive (event.wnext), so filing an event is two
-// pointer writes with no slice growth or backing-array allocation, and
-// cascading a band is a relink, not a copy.
+// Slot chains are intrusive (event.wnext, an int32 slab index), so
+// filing an event is two index writes with no slice growth or
+// backing-array allocation, and cascading a band is a relink, not a
+// copy. Slot heads are slab indices too (noEvent when empty), so the
+// wheel holds no pointers for the garbage collector to scan.
 //
 // Levels are powers of two over the event key (UnixNano), kept wide so
 // an event cascades at most twice before it reaches the heap:
@@ -32,7 +34,7 @@ import "math/bits"
 // and cheap there). A level-k band that comes due cascades: its events
 // re-insert relative to the band start and land at level k-1 or below.
 //
-// Ordering is exact, not approximate: popLocked drains every band whose
+// Ordering is exact, not approximate: popThrough drains every band whose
 // start is <= the heap top's key before trusting the heap top, so two
 // events with equal keys always meet in the heap and fire in seq order.
 // The golden determinism fingerprints are therefore byte-identical with
@@ -60,7 +62,7 @@ const wheelHorizonBit = 52
 type wlevel struct {
 	lowBit uint
 	mask   int
-	slots  []*event // heads of intrusive wnext chains
+	slots  []int32 // heads of intrusive wnext chains (noEvent: empty)
 	occ    []uint64
 	sum    uint64
 }
@@ -113,8 +115,11 @@ func (w *wheel) init(cur int64) {
 		w.levels[k] = wlevel{
 			lowBit: g.lowBit,
 			mask:   n - 1,
-			slots:  make([]*event, n),
+			slots:  make([]int32, n),
 			occ:    make([]uint64, n>>6),
+		}
+		for s := range w.levels[k].slots {
+			w.levels[k].slots[s] = noEvent
 		}
 	}
 }
@@ -138,9 +143,9 @@ func (w *wheel) levelFor(key int64) int {
 	}
 }
 
-// insert files ev into its slot chain; false means the caller must heap
-// it.
-func (w *wheel) insert(ev *event) bool {
+// insert files ev (slab slot i) into its slot chain; false means the
+// caller must heap it.
+func (w *wheel) insert(ev *event, i int32) bool {
 	level := w.levelFor(ev.key)
 	if level < 0 {
 		return false
@@ -148,10 +153,10 @@ func (w *wheel) insert(ev *event) bool {
 	l := &w.levels[level]
 	slot := int(uint64(ev.key)>>l.lowBit) & l.mask
 	ev.wnext = l.slots[slot]
-	l.slots[slot] = ev
+	l.slots[slot] = i
 	l.mark(slot)
 	w.count++
-	ev.inWheel = true
+	ev.flags |= evInWheel
 	if w.nextValid {
 		band := ev.key &^ (int64(1)<<l.lowBit - 1)
 		if !w.nextOK || band < w.nextBand {
@@ -190,10 +195,10 @@ func (w *wheel) earliest() (bandStart int64, level, slot int, ok bool) {
 
 // takeSlot detaches a slot's chain and clears its occupancy bit.
 // Callers must fix w.count as they consume the chain.
-func (w *wheel) takeSlot(level, slot int) *event {
+func (w *wheel) takeSlot(level, slot int) int32 {
 	l := &w.levels[level]
 	head := l.slots[slot]
-	l.slots[slot] = nil
+	l.slots[slot] = noEvent
 	l.clear(slot)
 	w.nextValid = false
 	return head
@@ -208,21 +213,21 @@ func (q *equeue) wheelDrain(bandStart int64, level, slot int) {
 	if bandStart > w.cur {
 		w.cur = bandStart
 	}
-	ev := w.takeSlot(level, slot)
-	for ev != nil {
+	for i := w.takeSlot(level, slot); i != noEvent; {
+		ev := q.ev(i)
 		next := ev.wnext
-		ev.wnext = nil
-		ev.inWheel = false
+		ev.wnext = noEvent
+		ev.flags &^= evInWheel
 		w.count--
 		switch {
-		case ev.dead:
+		case ev.flags&evDead != 0:
 			w.dead--
-			q.release(ev)
-		case level > 0 && w.insert(ev):
+			q.release(i)
+		case level > 0 && w.insert(ev, i):
 		default:
-			q.heapPush(ev)
+			q.heapPush(ev.key, ev.seq, i)
 		}
-		ev = next
+		i = next
 	}
 }
 
@@ -237,22 +242,23 @@ func (q *equeue) purgeWheel() {
 		for wi, word := range l.occ {
 			for ; word != 0; word &= word - 1 {
 				slot := wi<<6 + bits.TrailingZeros64(word)
-				var live *event
-				for ev := l.slots[slot]; ev != nil; {
+				live := noEvent
+				for i := l.slots[slot]; i != noEvent; {
+					ev := q.ev(i)
 					next := ev.wnext
-					if ev.dead {
-						ev.inWheel = false
-						ev.wnext = nil
+					if ev.flags&evDead != 0 {
+						ev.flags &^= evInWheel
+						ev.wnext = noEvent
 						w.count--
-						q.release(ev)
+						q.release(i)
 					} else {
 						ev.wnext = live
-						live = ev
+						live = i
 					}
-					ev = next
+					i = next
 				}
 				l.slots[slot] = live
-				if live == nil {
+				if live == noEvent {
 					l.clear(slot)
 				}
 			}

@@ -14,7 +14,7 @@ import (
 // and mixed wheel/heap populations.
 
 // TestWheelStopAcrossCascade cancels timers after they have cascaded
-// from a high wheel level toward a lower one. The generation check must
+// from a high wheel level toward a lower one. The (slot, seq) check must
 // keep Stop effective no matter which tier currently holds the event.
 func TestWheelStopAcrossCascade(t *testing.T) {
 	s := New(t0, 1)
